@@ -87,9 +87,9 @@ func BenchmarkTierNL(b *testing.B) {
 }
 
 // BenchmarkTierNLCompiled: the same workload as BenchmarkTierNL through
-// one compiled evaluator, isolating the interned per-snapshot artifact
-// memo — per warm call only the O-bitset scan over the active domain
-// runs.
+// one compiled evaluator over a prebuilt binding, isolating the warm
+// decision on the interned per-snapshot artifacts — per call only the
+// O-bitset scan over the active domain runs.
 func BenchmarkTierNLCompiled(b *testing.B) {
 	q := words.MustParse("RRX")
 	ev, err := nl.NewEvaluator(q)
@@ -97,11 +97,11 @@ func BenchmarkTierNLCompiled(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, size := range benchSizes {
-		db := benchInstance(size)
-		ev.IsCertain(db) // build the per-snapshot artifacts once
+		iv := benchInstance(size).Interned()
+		bd := ev.Bind(iv, fixpoint.SolveOptions{}) // build the per-snapshot artifacts once
 		b.Run(fmt.Sprintf("facts=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ev.IsCertain(db)
+				ev.Certain(iv, bd)
 			}
 		})
 	}
@@ -122,18 +122,21 @@ func BenchmarkTierFixpoint(b *testing.B) {
 }
 
 // BenchmarkTierFixpointCompiled: the same workload as
-// BenchmarkTierFixpoint through one compiled query, isolating the
-// interned per-(plan, instance) binding memo — per call only the
-// slice-indexed worklist runs.
+// BenchmarkTierFixpoint through one compiled query over a prebuilt
+// binding, isolating the solve on the interned transition tables — per
+// call only the slice-indexed worklist runs.
 func BenchmarkTierFixpointCompiled(b *testing.B) {
 	q := words.MustParse("RXRYRY")
 	cp := fixpoint.Compile(q)
+	ctx := context.Background()
 	for _, size := range benchSizes {
-		db := benchInstance(size)
-		cp.Solve(db) // bind the interned transition tables once
+		iv := benchInstance(size).Interned()
+		bd := cp.Bind(iv, fixpoint.SolveOptions{}) // bind the interned transition tables once
 		b.Run(fmt.Sprintf("facts=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cp.Solve(db)
+				if _, err := cp.SolveBound(ctx, iv, bd, fixpoint.SolveOptions{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -154,18 +157,24 @@ func BenchmarkTierSAT(b *testing.B) {
 }
 
 // BenchmarkTierSATCompiled: the same workload through one compiled
-// query, isolating the per-snapshot CNF memo — a warm call re-runs only
-// the incremental solver (saved phases, learned clauses) under the
-// ¬z[c,0] assumptions.
+// query over a prebuilt encoding, isolating the warm re-solve — a call
+// re-runs only the incremental solver (saved phases, learned clauses)
+// under the ¬z[c,0] assumptions.
 func BenchmarkTierSATCompiled(b *testing.B) {
 	q := words.MustParse("ARRX")
 	cp := conp.Compile(q)
+	ctx := context.Background()
 	for _, size := range benchSizes {
-		db := benchInstance(size)
-		cp.IsCertain(db) // build and memoize the CNF once
+		iv := benchInstance(size).Interned()
+		enc := cp.Encode(iv) // encode the CNF once
+		if _, err := cp.Solve(ctx, iv, enc); err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("facts=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cp.IsCertain(db)
+				if _, err := cp.Solve(ctx, iv, enc); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -368,11 +377,11 @@ func BenchmarkCertainBatchSharded(b *testing.B) {
 	}
 }
 
-// mutationFact picks the fact BenchmarkWarmAfterMutation toggles: its
-// key names an existing conflicting block of rel and its value is drawn
-// from the active domain, so adding and removing it never changes the
-// constant universe and every toggle stays on the delta-interning path.
-func mutationFact(b *testing.B, db *Instance, rel string) instance.Fact {
+// mutationFacts picks the facts BenchmarkWarmAfterMutation toggles:
+// n active-domain values absent from one conflicting block of rel, so
+// toggling them never changes the constant universe and never creates
+// or empties a block — every toggle stays on the delta-interning path.
+func mutationFacts(b *testing.B, db *Instance, rel string, n int) []instance.Fact {
 	b.Helper()
 	for _, bid := range db.ConflictingBlocks() {
 		if bid.Rel != rel {
@@ -382,25 +391,48 @@ func mutationFact(b *testing.B, db *Instance, rel string) instance.Fact {
 		for _, v := range db.Block(bid.Rel, bid.Key) {
 			in[v] = true
 		}
+		var out []instance.Fact
 		for _, c := range db.Adom() {
 			if !in[c] {
-				return instance.Fact{Rel: rel, Key: bid.Key, Val: c}
+				if out = append(out, instance.Fact{Rel: rel, Key: bid.Key, Val: c}); len(out) == n {
+					return out
+				}
 			}
 		}
 	}
-	b.Fatalf("no conflicting %s block with a free in-domain value", rel)
-	return instance.Fact{}
+	b.Fatalf("no conflicting %s block with %d free in-domain values", rel, n)
+	return nil
 }
 
+// reroot bounds the mutations the mutated arm of
+// BenchmarkWarmAfterMutation chains on one lineage before it re-roots
+// on a clone outside the timer: a lineage deeper than
+// instance.MaxLineageDepth restarts from a cold root by itself.
+const reroot = 200
+
+// coldRing is how many interned copies of the instance the cold arm of
+// BenchmarkWarmAfterMutation cycles through: more than a tier memo's
+// 16 resident snapshots, so each is evicted before its next turn.
+const coldRing = 24
+
 // BenchmarkWarmAfterMutation (experiment E18): the serving regime where
-// instances churn between decisions. Every "mutated" iteration toggles
-// one in-universe fact and decides through the engine, so the warm call
-// is a lineage repair — delta intern plus the tier's patch — instead of
-// a cold per-snapshot rebuild; "unchanged" is the pure memo hit the
-// benchgate ratio gates mutation-warm-{fixpoint,nl,conp} divide by
-// (≤ 10x at facts=1000). The fixpoint and SAT cases mutate R, a
-// relation their query reads; the NL case mutates Y, which RRX does not
-// read, so its repair exercises the evaluator's relation-relevance
+// instances churn between decisions, per tier, in three arms.
+//   - "unchanged" repeats a decision on one snapshot: a memo hit that
+//     returns the stored decision.
+//   - "mutated" toggles one in-universe fact per iteration, cycling
+//     through four of them so that no state recurs within the intern
+//     layer's undo window: every decision lands on a new delta snapshot
+//     and is exactly one lineage repair (asserted) — delta intern plus
+//     the tier's repair plus a decision.
+//   - "cold" cycles through more interned copies of the instance than
+//     a tier memo holds, so every decision lands on a lineage root the
+//     memo has evicted and is exactly one cold build (asserted) plus a
+//     decision.
+//
+// The benchgate ratio gates mutation-warm-{fo,nl,fixpoint,conp} bound
+// mutated/cold at facts=1000. The fixpoint and SAT cases mutate R, a
+// relation their query reads; the FO and NL cases mutate Y, which their
+// queries do not read, so their repair is the relation-relevance
 // short-circuit rather than a re-evaluation.
 func BenchmarkWarmAfterMutation(b *testing.B) {
 	cases := []struct {
@@ -408,30 +440,61 @@ func BenchmarkWarmAfterMutation(b *testing.B) {
 		query  string
 		mutRel string
 	}{
-		{"fixpoint", "RXRYRY", "R"},
+		{"fo", "RXRX", "Y"},
 		{"nl", "RRX", "Y"},
+		{"fixpoint", "RXRYRY", "R"},
 		{"conp", "ARRX", "R"},
 	}
 	for _, c := range cases {
 		q := MustParseQuery(c.query)
 		for _, size := range benchSizes {
 			db := benchInstance(size)
-			f := mutationFact(b, db, c.mutRel)
+			facts := mutationFacts(b, db, c.mutRel, 4)
 			eng := NewEngine(EngineConfig{})
-			eng.Certain(q, db) // compile the plan, build the lineage root
+			p := eng.Compile(q)
+			eng.Certain(q, db)
 			b.Run(fmt.Sprintf("%s/unchanged/facts=%d", c.name, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					eng.Certain(q, db)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/mutated/facts=%d", c.name, size), func(b *testing.B) {
+				cur := db.Clone()
+				eng.Certain(q, cur) // the lineage root
+				before := p.MemoStats().Repairs
 				for i := 0; i < b.N; i++ {
-					if db.Contains(f) {
-						db.Remove(f)
-					} else {
-						db.Add(f)
+					if i > 0 && i%reroot == 0 {
+						b.StopTimer()
+						cur = cur.Clone()
+						eng.Certain(q, cur)
+						b.StartTimer()
 					}
-					eng.Certain(q, db)
+					if f := facts[i%len(facts)]; cur.Contains(f) {
+						cur.Remove(f)
+					} else {
+						cur.Add(f)
+					}
+					eng.Certain(q, cur)
+				}
+				b.StopTimer()
+				if got := p.MemoStats().Repairs - before; got != uint64(b.N) {
+					b.Fatalf("%d lineage repairs in %d mutated decisions, want one each", got, b.N)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/cold/facts=%d", c.name, size), func(b *testing.B) {
+				ring := make([]*Instance, coldRing)
+				for i := range ring {
+					ring[i] = db.Clone()
+					ring[i].Interned()
+				}
+				before := p.MemoStats().ColdBuilds()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Certain(q, ring[i%len(ring)])
+				}
+				b.StopTimer()
+				if got := p.MemoStats().ColdBuilds() - before; got != uint64(b.N) {
+					b.Fatalf("%d cold builds in %d decisions on fresh roots, want one each", got, b.N)
 				}
 			})
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"cqa/internal/instance"
 	"cqa/internal/plan"
@@ -93,6 +94,11 @@ func TestChurnSoak(t *testing.T) {
 					}
 				}
 				s.mu.Unlock()
+				// Pace the mutations so the query workers observe
+				// intermediate snapshots: a mutator that ran all its
+				// steps before the first query left nothing to repair
+				// from, and the repair assertion below flaked.
+				time.Sleep(50 * time.Microsecond)
 			}
 		}(si, s)
 	}

@@ -59,19 +59,23 @@
 //
 // # Interned evaluation
 //
-// The NL and PTIME tiers evaluate on the instance's interned view
+// All four tiers evaluate on the instance's interned view
 // (Instance.Interned): the active domain and relation names are
 // interned to dense integer ids once per instance state, and the
-// solvers run entirely on slice-indexed state — the Figure 5 fixpoint
-// on a bitset relation with a CSR successor index, the Section 6.3
-// loop procedure on bitset predicates over a CSR loop-step graph. On
-// top of the interned view, each compiled plan memoizes its
-// instance-bound artifacts per (plan, instance) pair, keyed by the
-// interned snapshot pointer in a bounded LRU. Mutating an instance
-// publishes a fresh snapshot, so stale artifacts are unreachable by
-// construction — serving workloads that re-query the same instance pay
-// the build once and then do only per-call decision work (for the NL
-// tier, a scan of the memoized Lemma 14 predicate).
+// solvers run entirely on slice-indexed state — the Lemma 12 DP on
+// bitsets, the Figure 5 fixpoint on a bitset relation with a CSR
+// successor index, the Section 6.3 loop procedure on bitset predicates
+// over a CSR loop-step graph, the SAT tier on a CNF whose variables
+// are arithmetic on interned ids. Each compiled plan memoizes, per
+// tier and per interned snapshot pointer in a bounded LRU, the tier's
+// instance-bound artifact together with the finished decision
+// (internal/plan's tier seam). A decision is a pure function of the
+// snapshot, so a repeat on an unchanged instance is one memo hit that
+// returns the stored decision: no solver work and no allocation.
+// Mutating an instance publishes a fresh snapshot, so stale entries are
+// unreachable by construction; the first decision on the new snapshot
+// repairs its parent's artifact along the lineage (or builds cold) and
+// decides once.
 //
 // # Contexts and serving
 //

@@ -11,7 +11,8 @@ import (
 // TestEnginePanicIsolation checks the recover() boundary at the
 // engine's context-aware entry points: an injected panic inside a
 // decision becomes a per-request ErrPanic, the Panics counter records
-// it, and the engine keeps serving correct decisions afterwards.
+// it, and the engine keeps serving correct decisions afterwards — the
+// first of them recomputed, not served from a poisoned memo entry.
 func TestEnginePanicIsolation(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -20,8 +21,10 @@ func TestEnginePanicIsolation(t *testing.T) {
 	db := churnInstance(3)
 	q := MustParseQuery("ARRX")
 
-	// Reference decision before any fault is armed.
-	want := eng.Certain(q, db).Certain
+	// Reference decision before any fault is armed, on a separate
+	// engine: on eng it would be stored, and the faulted decision below
+	// would be a memo hit that never reaches the SAT solver.
+	want := NewEngine(EngineConfig{}).Certain(q, db).Certain
 
 	faultinject.Enable(faultinject.SATSolve, 1, false)
 	if _, err := eng.CertainCtx(context.Background(), q, db); !errors.Is(err, ErrPanic) {
@@ -30,7 +33,9 @@ func TestEnginePanicIsolation(t *testing.T) {
 	if got := eng.Stats().Panics; got != 1 {
 		t.Fatalf("Stats.Panics = %d, want 1", got)
 	}
-	faultinject.Disable(faultinject.SATSolve)
+	// Re-arm at a period that never fires, so the failpoint only counts
+	// the solves that reach it.
+	faultinject.Enable(faultinject.SATSolve, 1<<30, false)
 
 	// The engine, the plan, and the memoized encoding all survived.
 	res, err := eng.CertainCtx(context.Background(), q, db)
@@ -39,6 +44,17 @@ func TestEnginePanicIsolation(t *testing.T) {
 	}
 	if res.Certain != want {
 		t.Fatalf("decision after recovered panic = %v, want %v", res.Certain, want)
+	}
+	// The panicked decision stored nothing: the first decision after it
+	// ran the solver, and only then is the decision stored.
+	if hits := faultinject.Hits(faultinject.SATSolve); hits != 1 {
+		t.Fatalf("SAT solves for the first decision after the panic = %d, want 1 (recomputed)", hits)
+	}
+	if again, err := eng.CertainCtx(context.Background(), q, db); err != nil || again.Certain != want {
+		t.Fatalf("repeat decision = %v, %v; want %v", again.Certain, err, want)
+	}
+	if hits := faultinject.Hits(faultinject.SATSolve); hits != 1 {
+		t.Fatalf("SAT solves after a repeat = %d, want 1 (served from the stored decision)", hits)
 	}
 }
 
@@ -55,11 +71,13 @@ func TestCertainBatchPanicIsolation(t *testing.T) {
 	wantNL := eng.Certain(qNL, db).Certain
 
 	// Fire on every second SAT solve: of the two ARRX requests below,
-	// exactly one panics.
+	// exactly one panics. They go to two distinct instances, so each is
+	// a decision-memo miss that runs the solver (a repeat on one
+	// snapshot would be served from the first one's stored decision).
 	faultinject.Enable(faultinject.SATSolve, 2, false)
 	out := eng.CertainBatch(context.Background(), []Request{
 		{Query: qSAT, DB: db},
-		{Query: qSAT, DB: db},
+		{Query: qSAT, DB: db.Clone()},
 		{Query: qNL, DB: db},
 	})
 	faultinject.Disable(faultinject.SATSolve)

@@ -28,16 +28,15 @@
 // z[c,i] at constID·k+i) instead of hashed string keys, and the clause
 // literals live in one flat arena. The built encoding (CNF arena,
 // selector layout, and the lazily constructed solver with everything it
-// learns) is memoized per interned snapshot through an entry- and
-// byte-bounded internal/memo.LRU, so a warm re-decision on an unchanged
-// instance re-runs only the solver — under the same assumptions, warmed
-// by saved phases and learned clauses — and a mutation invalidates by
-// publishing a fresh snapshot pointer. Counterexample repairs are
-// decoded to interned fact ids at solve time and materialized to a
-// string-keyed *instance.Instance only on demand.
+// learns) is an Encoding: the plan layer memoizes it per interned
+// snapshot, so a re-decision on an unchanged instance re-runs only the
+// solver (Solve) — under the same assumptions, warmed by saved phases
+// and learned clauses. Counterexample repairs are decoded to interned
+// fact ids at solve time and materialized to a string-keyed
+// *instance.Instance only on demand.
 //
 // Lineage repair. When a snapshot is a structural delta of a resident
-// ancestor (instance.Delta), the memo miss is served by patching the
+// ancestor (instance.Delta), Patch derives its encoding by patching the
 // ancestor's CNF in place instead of re-encoding: removed facts become
 // root-level unit clauses over their selectors (literally equivalent to
 // the cold-built child, so the learned-clause database survives), and
@@ -48,7 +47,7 @@
 // phases and variable activities). The ancestor's solver moves to the
 // patched encoding; structural shifts the patch cannot express — block
 // creation or emptying, selectors the solver has root-fixed, an
-// exhausted patch budget — fall back to a cold build. See patch for the
+// exhausted patch budget — fall back to a cold build. See Patch for the
 // soundness argument.
 package conp
 
@@ -60,18 +59,11 @@ import (
 
 	"cqa/internal/bitset"
 	"cqa/internal/instance"
-	"cqa/internal/memo"
 	"cqa/internal/sat"
 	"cqa/internal/words"
 )
 
 const (
-	// maxEncodings / maxEncodingBytes bound the per-query encoding memo:
-	// a CNF is O(|db|·|q|) literals, so the byte budget sheds snapshots
-	// of huge instances long before the entry bound would.
-	maxEncodings     = 16
-	maxEncodingBytes = 64 << 20
-
 	// amoPairwiseMax is the largest block encoded with the quadratic
 	// pairwise at-most-one; above it the sequential ladder (3m-4 clauses,
 	// m-1 auxiliary variables) takes over. At m=5 the pairwise count (10)
@@ -140,9 +132,9 @@ func (r *Result) Counterexample() *instance.Instance {
 // Compiled is the query-side half of the SAT tier for one path query:
 // the clause skeleton (length, per-position relation, and the grouping
 // of positions by relation name that the encoder uses to intern each
-// distinct relation once), plus the per-snapshot encoding memo. A
-// Compiled is immutable after Compile and safe for concurrent use; the
-// per-encoding solver state is serialized internally.
+// distinct relation once). A Compiled is immutable after Compile and
+// safe for concurrent use; the per-encoding solver state is serialized
+// internally.
 type Compiled struct {
 	q words.Word
 	k int
@@ -151,8 +143,6 @@ type Compiled struct {
 	// relation" structure.
 	rels  []string
 	posOf [][]int32
-
-	encs *memo.LRU[*instance.Interned, *encoding]
 }
 
 // Compile captures the clause skeleton of q for the SAT tier.
@@ -169,94 +159,40 @@ func Compile(q words.Word) *Compiled {
 		}
 		c.posOf[j] = append(c.posOf[j], int32(i))
 	}
-	if c.k > 0 {
-		c.encs = memo.NewLRUWithBudget[*instance.Interned, *encoding](
-			maxEncodings, maxEncodingBytes, func(e *encoding) int64 { return e.bytes })
-	}
 	return c
 }
 
 // Query returns the compiled query word.
 func (c *Compiled) Query() words.Word { return c.q.Clone() }
 
-// EncodingStats returns the hit/miss counters of the per-snapshot CNF
-// memo: Misses is the number of encodings built, Hits the number of
-// decisions served by an incremental re-solve of a resident encoding.
-func (c *Compiled) EncodingStats() memo.Stats {
-	if c.encs == nil {
-		return memo.Stats{}
-	}
-	return c.encs.Stats()
-}
-
-// SetMemoScale sets the encoding memo's byte budget to scale × the
-// compile-time default (the soft-memory-watermark hook); scale >= 1
-// restores the default. A CNF encoding is the largest per-snapshot
-// artifact in the system, so under heap pressure this memo is the one
-// that matters most to shrink.
-func (c *Compiled) SetMemoScale(scale float64) {
-	if c.encs != nil {
-		c.encs.SetBudget(memo.ScaledBudget(maxEncodingBytes, scale))
-	}
-}
-
-// IsCertain decides CERTAINTY(q) on db, reusing the memoized encoding
-// (and its incremental solver) when db's interned snapshot is unchanged
-// since a previous decision.
+// IsCertain decides CERTAINTY(q) on db: it encodes db's snapshot and
+// solves it from scratch.
 func (c *Compiled) IsCertain(db *instance.Instance) *Result {
-	return c.IsCertainInterned(db.Interned())
-}
-
-// IsCertainCtx is IsCertain bounded by a context: the underlying SAT
-// search polls ctx and the call returns ctx.Err() (with a nil Result)
-// if it is canceled mid-solve. The memoized encoding and its solver
-// survive a cancellation; a retry resumes from everything learned so
-// far.
-func (c *Compiled) IsCertainCtx(ctx context.Context, db *instance.Instance) (*Result, error) {
-	return c.IsCertainInternedCtx(ctx, db.Interned())
-}
-
-// IsCertainInterned is IsCertain on an interned snapshot directly. On a
-// memo miss it first tries a lineage repair: if an ancestor snapshot's
-// encoding is still resident, its solver — phases, activities, and when
-// sound its learned clauses — is patched in place to the new snapshot
-// instead of encoding and searching from scratch.
-func (c *Compiled) IsCertainInterned(iv *instance.Interned) *Result {
-	res, err := c.IsCertainInternedCtx(context.Background(), iv)
-	if err != nil {
-		// A background context never cancels.
-		panic("conp: internal: " + err.Error())
-	}
+	iv := db.Interned()
+	// A background context never cancels.
+	res, _ := c.Solve(context.Background(), iv, c.Encode(iv))
 	return res
 }
 
-// IsCertainInternedCtx is IsCertainInterned bounded by a context; see
-// IsCertainCtx for the cancellation contract.
-func (c *Compiled) IsCertainInternedCtx(ctx context.Context, iv *instance.Interned) (*Result, error) {
+// Encode builds the CNF encoding of iv (nil for the empty query, which
+// needs none).
+func (c *Compiled) Encode(iv *instance.Interned) *Encoding {
+	if c.k == 0 {
+		return nil
+	}
+	return c.encode(iv)
+}
+
+// Solve decides CERTAINTY(q) on iv with e, an encoding of iv (from
+// Encode or Patch), bounded by a context: the SAT search polls ctx and
+// the call returns ctx.Err() (with a nil Result) if it is canceled
+// mid-solve. The encoding keeps its solver across calls, so a
+// re-decision — or a retry after a cancellation — resumes from
+// everything learned so far.
+func (c *Compiled) Solve(ctx context.Context, iv *instance.Interned, e *Encoding) (*Result, error) {
 	if c.k == 0 {
 		return &Result{Certain: true}, nil
 	}
-	e := c.encs.GetOrRepair(iv,
-		func(peek func(*instance.Interned) (*encoding, bool)) (*encoding, int, bool) {
-			var found *encoding
-			parent, touched, ok := instance.Lineage(iv, func(a *instance.Interned) bool {
-				pe, res := peek(a)
-				if res {
-					found = pe
-				}
-				return res
-			})
-			if !ok {
-				return nil, 0, false
-			}
-			child := c.patch(found, iv, touched)
-			if child == nil {
-				return nil, 0, false
-			}
-			return child, iv.LineageDepth() - parent.LineageDepth(), true
-		},
-		func() *encoding { return c.encode(iv) })
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ensureSolver(c)
@@ -281,7 +217,7 @@ func (c *Compiled) IsCertainInternedCtx(ctx context.Context, iv *instance.Intern
 
 // IsCertain decides CERTAINTY(q) on db via SAT. It works for every path
 // query q. It compiles q per call; serving paths hold a Compiled (the
-// plan layer does) and let its snapshot memo absorb repeated decisions.
+// plan layer does) and memoize its encodings per snapshot.
 func IsCertain(db *instance.Instance, q words.Word) *Result {
 	return Compile(q).IsCertain(db)
 }
@@ -292,18 +228,26 @@ func EncodingSize(db *instance.Instance, q words.Word) (int, int) {
 	if len(q) == 0 {
 		return 0, 0
 	}
-	c := Compile(q)
-	iv := db.Interned()
-	e := c.encs.Get(iv, func() *encoding { return c.encode(iv) })
+	e := Compile(q).encode(db.Interned())
 	return e.nVars, len(e.clauseEnd)
 }
 
-// encoding is the instance-bound CNF for one (query, interned snapshot)
+// Bytes prices the encoding for a memo's byte budget: the arena and
+// layout, times a factor for the solver's own copy of every clause plus
+// its watch lists.
+func (e *Encoding) Bytes() int64 {
+	if e == nil {
+		return 0
+	}
+	return e.bytes
+}
+
+// Encoding is the instance-bound CNF for one (query, interned snapshot)
 // pair: the clause arena, the dense variable layout, and the lazily
 // built incremental solver. The arena and layout are immutable after
 // encode; solver access is serialized by mu (the solver is stateful
 // across SolveAssuming calls).
-type encoding struct {
+type Encoding struct {
 	iv *instance.Interned
 	k  int
 
@@ -331,9 +275,7 @@ type encoding struct {
 	// under other assumption sets.
 	roots []int
 
-	// bytes prices the encoding for the memo budget: the arena and
-	// layout, times a factor for the solver's own copy of every clause
-	// plus its watch lists.
+	// bytes prices the encoding (see Bytes).
 	bytes int64
 
 	// Lineage-patch state. A patched encoding shares the variable layout
@@ -373,7 +315,7 @@ type blockPatch struct {
 func blockKey64(rid, key int32) int64 { return int64(rid)<<32 | int64(uint32(key)) }
 
 // zvar returns the reachability variable z[c, i] in e's layout.
-func (e *encoding) zvar(cst int32, i int) int {
+func (e *Encoding) zvar(cst int32, i int) int {
 	return int(e.zBase) + int(cst)*e.k + i + 1
 }
 
@@ -389,11 +331,11 @@ func findBlock(iv *instance.Interned, rid, key int32) (instance.InternedBlock, b
 }
 
 // encode builds the CNF for iv from the compiled skeleton.
-func (c *Compiled) encode(iv *instance.Interned) *encoding {
+func (c *Compiled) encode(iv *instance.Interned) *Encoding {
 	k := c.k
 	nc := iv.NumConsts()
 	nr := iv.NumRels()
-	e := &encoding{iv: iv, k: k, layoutIV: iv}
+	e := &Encoding{iv: iv, k: k, layoutIV: iv}
 
 	// Selector layout: enumerate blocks relation-major in interned
 	// order; prefix sums over block sizes give each fact its variable.
@@ -547,7 +489,7 @@ func (c *Compiled) encode(iv *instance.Interned) *encoding {
 
 // buildSolver (re)loads the arena into a fresh incremental solver.
 // Caller holds e.mu.
-func (e *encoding) buildSolver() {
+func (e *Encoding) buildSolver() {
 	s := sat.NewSolver(e.nVars)
 	var lits []int
 	var start int32
@@ -568,7 +510,7 @@ func (e *encoding) buildSolver() {
 // rebuilt. Patched encodings have no arena, so their rebuild re-encodes
 // from the snapshot and resets the patch state to a fresh lineage root.
 // Caller holds e.mu.
-func (e *encoding) ensureSolver(c *Compiled) {
+func (e *Encoding) ensureSolver(c *Compiled) {
 	if e.solver != nil && e.solver.NumLearned() <= maxLearnedFactor*len(e.clauseEnd)+1024 {
 		return
 	}
@@ -584,7 +526,7 @@ func (e *encoding) ensureSolver(c *Compiled) {
 // curBlockVars returns the current values of block (rid, key) and their
 // selector variables, preferring a lineage-patch override and falling
 // back to the arena layout of layoutIV.
-func (e *encoding) curBlockVars(rid, key int32) ([]int32, []int32, bool) {
+func (e *Encoding) curBlockVars(rid, key int32) ([]int32, []int32, bool) {
 	if bp, ok := e.blockVars[blockKey64(rid, key)]; ok {
 		return bp.vals, bp.vars, true
 	}
@@ -608,7 +550,7 @@ func (e *encoding) curBlockVars(rid, key int32) ([]int32, []int32, bool) {
 // clauses open with a positive selector literal (every other clause
 // shape the encoder emits opens with a negation), and only completions
 // open with a negated z literal. Caller holds e.mu; e.arena non-nil.
-func (e *encoding) buildPatchIndex() {
+func (e *Encoding) buildPatchIndex() {
 	liv := e.layoutIV
 	firstVar := make(map[int32]int64)
 	gb := 0
@@ -635,8 +577,9 @@ func (e *encoding) buildPatchIndex() {
 	}
 }
 
-// patch derives the encoding for iv from a resident parent encoding by
-// mutating the parent's solver in place. Fact removals become root unit
+// Patch derives the encoding for iv from a resident ancestor encoding
+// pe, given touched, the blocks that differ between the ancestor's
+// snapshot and iv, by mutating the ancestor's solver in place. Fact removals become root unit
 // clauses over the old selectors — conjoined with the block's original
 // constraints they are literally equivalent to the cold-built child
 // clauses, so even the learned database stays sound and is kept. Fact
@@ -648,7 +591,7 @@ func (e *encoding) buildPatchIndex() {
 // activities survive). The parent's solver moves to the child;
 // re-deciding the parent later rebuilds it from the parent's arena.
 //
-// patch returns nil when repairing would be unsound or unprofitable and
+// Patch returns nil when repairing would be unsound or unprofitable and
 // the caller must encode cold: the parent has no live solver (already
 // stolen, or derived root unsatisfiability), a touched block was
 // created or emptied (the z-liveness structure of the encoding would
@@ -659,7 +602,10 @@ func (e *encoding) buildPatchIndex() {
 // every root assignment that could depend on a clause about to be
 // weakened (RetractDepending), so the surviving trail holds of the
 // weaker formula too.
-func (c *Compiled) patch(pe *encoding, iv *instance.Interned, touched []instance.BlockRef) *encoding {
+func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance.BlockRef) *Encoding {
+	if c.k == 0 {
+		return nil // the empty query has no encoding to patch
+	}
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
 	s := pe.solver
@@ -741,7 +687,7 @@ func (c *Compiled) patch(pe *encoding, iv *instance.Interned, touched []instance
 		s.RetractDepending(weak)
 	}
 	d0, p0, cf0 := s.Stats()
-	child := &encoding{
+	child := &Encoding{
 		iv:            iv,
 		k:             pe.k,
 		relBlockStart: pe.relBlockStart,
@@ -819,7 +765,7 @@ func (c *Compiled) patch(pe *encoding, iv *instance.Interned, touched []instance
 // variables; everything else falls back to the arena layout (no block
 // set ever shifts along a patchable lineage, so the layout lookup
 // always resolves).
-func (e *encoding) decodeSel() []int32 {
+func (e *Encoding) decodeSel() []int32 {
 	m := e.solver.Model()
 	iv := e.iv
 	if e.blockVars == nil {

@@ -45,7 +45,7 @@ func TestConpPropertyVsOracles(t *testing.T) {
 	cases := 0
 	for cases < 220 {
 		w := randomWord(rng, alpha, 2+rng.Intn(5))
-		cp := Compile(w)
+		cp := compileMemo(w)
 		if classify.Classify(w) == classify.CoNP {
 			for k := 0; k < 3; k++ {
 				db := randomInstance(rng, alpha, 1+rng.Intn(8), 4)
@@ -89,7 +89,7 @@ func TestConpPropertyVsOracles(t *testing.T) {
 // across goroutines — including its stateful incremental solver — is
 // race-free. Mirrors the PR 3 NL evaluator invalidation test.
 func TestConpMemoInvalidation(t *testing.T) {
-	cp := Compile(words.MustParse("ARRX"))
+	cp := compileMemo(words.MustParse("ARRX"))
 	db := instance.MustParseFacts("A(0,a) R(a,b) R(a,c) R(b,c) R(c,b) X(c,t)")
 
 	concurrent := func(want bool, phase string) {
@@ -148,7 +148,7 @@ func TestConpMemoInvalidation(t *testing.T) {
 // memoized encoding: repeated decisions on one snapshot keep a single
 // resident encoding and agree with the cold answer.
 func TestCompiledWarmReuseCounts(t *testing.T) {
-	cp := Compile(words.MustParse("ARRX"))
+	cp := compileMemo(words.MustParse("ARRX"))
 	db := instance.MustParseFacts("A(0,a) R(a,b) R(a,c) R(b,c) R(c,b) X(c,t)")
 	cold := cp.IsCertain(db)
 	for i := 0; i < 10; i++ {

@@ -25,7 +25,7 @@ func TestPatchDriftRepairsRealisticInstance(t *testing.T) {
 		Seed:         42,
 	})
 	q := words.MustParse("ARRX")
-	cp := Compile(q)
+	cp := compileMemo(q)
 	cp.IsCertain(db) // cold build for the lineage root
 
 	// Pick a conflicting R block and three constants outside it, then
@@ -78,7 +78,7 @@ func TestPatchDriftRepairsRealisticInstance(t *testing.T) {
 			}
 		}
 	}
-	if s := cp.EncodingStats(); s.Repairs != steps {
+	if s := cp.encs.Stats(); s.Repairs != steps {
 		t.Errorf("stats = %+v, want every drift step repaired (%d)", s, steps)
 	}
 }

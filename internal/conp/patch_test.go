@@ -1,11 +1,43 @@
 package conp
 
 import (
+	"context"
 	"testing"
 
 	"cqa/internal/instance"
+	"cqa/internal/memo"
 	"cqa/internal/words"
 )
+
+// memoCompiled decides through a lineage-aware encoding memo, the way
+// the plan layer's tier seam holds SAT encodings: a miss patches the
+// nearest resident ancestor's encoding (Patch) or encodes cold.
+type memoCompiled struct {
+	*Compiled
+	encs *memo.LRU[*instance.Interned, *Encoding]
+}
+
+func compileMemo(q words.Word) *memoCompiled {
+	return &memoCompiled{Compiled: Compile(q), encs: memo.NewLRU[*instance.Interned, *Encoding](16)}
+}
+
+func (m *memoCompiled) IsCertainInterned(iv *instance.Interned) *Result {
+	e := memo.GetLineage(m.encs, iv,
+		func(parent *Encoding, touched []instance.BlockRef) (*Encoding, bool) {
+			child := m.Patch(parent, iv, touched)
+			return child, child != nil
+		},
+		func() *Encoding { return m.Encode(iv) })
+	res, err := m.Solve(context.Background(), iv, e)
+	if err != nil {
+		panic(err) // a background context never cancels
+	}
+	return res
+}
+
+func (m *memoCompiled) IsCertain(db *instance.Instance) *Result {
+	return m.IsCertainInterned(db.Interned())
+}
 
 // conpChurnInstance has conflicting blocks in every relation over a
 // fixed universe, so in-place mutations ride the delta-interning path
@@ -26,7 +58,7 @@ func conpChurnInstance() *instance.Instance {
 
 func TestPatchedEncodingMatchesColdChurn(t *testing.T) {
 	q := words.MustParse("ARRX")
-	cp := Compile(q)
+	cp := compileMemo(q)
 	db := conpChurnInstance()
 	cp.IsCertain(db) // cold build for the lineage root
 
@@ -54,14 +86,14 @@ func TestPatchedEncodingMatchesColdChurn(t *testing.T) {
 			}
 		}
 	}
-	if s := cp.EncodingStats(); s.Repairs == 0 {
+	if s := cp.encs.Stats(); s.Repairs == 0 {
 		t.Errorf("stats = %+v, want repairs > 0 (mutations stay in-universe)", s)
 	}
 }
 
 func TestPatchStealsSolverAndParentRebuilds(t *testing.T) {
 	q := words.MustParse("ARRX")
-	cp := Compile(q)
+	cp := compileMemo(q)
 	// Y(u,t) keeps constant u in the active domain when X(c,u) goes, so
 	// the removal stays inside the universe and delta-interns.
 	db := instance.MustParseFacts("A(0,a) R(a,b) R(a,c) R(b,c) R(c,b) X(c,t) X(c,u) Y(u,t)")
@@ -71,7 +103,7 @@ func TestPatchStealsSolverAndParentRebuilds(t *testing.T) {
 	// Removing X(c,u) keeps block X(c,*) nonempty: a removal-only patch.
 	db.Remove(instance.Fact{Rel: "X", Key: "c", Val: "u"})
 	res := cp.IsCertain(db)
-	if s := cp.EncodingStats(); s.Repairs != 1 {
+	if s := cp.encs.Stats(); s.Repairs != 1 {
 		t.Fatalf("stats = %+v, want exactly one repair", s)
 	}
 	if want := Compile(q).IsCertain(db.Clone()); res.Certain != want.Certain {
@@ -88,7 +120,7 @@ func TestPatchStealsSolverAndParentRebuilds(t *testing.T) {
 
 func TestPatchFallsBackColdOnBlockCreation(t *testing.T) {
 	q := words.MustParse("ARRX")
-	cp := Compile(q)
+	cp := compileMemo(q)
 	db := conpChurnInstance()
 	cp.IsCertain(db)
 

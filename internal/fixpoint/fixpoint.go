@@ -26,7 +26,6 @@ import (
 	"cqa/internal/automata"
 	"cqa/internal/bitset"
 	"cqa/internal/instance"
-	"cqa/internal/memo"
 	"cqa/internal/words"
 )
 
@@ -107,52 +106,30 @@ func (r *Result) NMap() map[string]map[int]bool {
 }
 
 // Compiled is the query-dependent machinery of the Figure 5 algorithm,
-// precomputed once per query so that repeated Solve calls over many
+// precomputed once per query so that repeated solves over many
 // instances skip rebuilding NFA(q) and its backward ε-transition table.
-// A Compiled value is safe for concurrent use; it additionally memoizes
-// the instance-side transition tables per interned instance snapshot
-// (see binding), realizing a per-(query, instance) memo whose
-// invalidation is the instance mutation itself.
+// The instance-side half is a Binding (see Bind); the plan layer
+// memoizes bindings per interned snapshot and repairs them along the
+// snapshot lineage (Rebind), so a Compiled holds no per-instance state.
+// A Compiled value is safe for concurrent use.
 type Compiled struct {
 	q   words.Word
 	nfa *automata.NFA
 	// backSources[u] lists the states w with a backward ε-transition
 	// into u (longer prefixes ending with the same relation as q[:u]).
 	backSources [][]int
-	// positions[rel] lists the prefix lengths u with q[u] == rel.
-	positions map[string][]int
-
-	// bindings memoizes instance-bound tables keyed by the interned
-	// snapshot pointer: a mutation of the instance publishes a fresh
-	// *Interned, so a stale binding can never be looked up again. The
-	// memo is a bounded LRU (least-recently-served snapshot evicted
-	// first); builds run outside the memo lock, so a large instance
-	// never serializes Solves over other instances. The NL tier reuses
-	// the same memo policy for its per-snapshot artifacts.
-	bindings *memo.LRU[*instance.Interned, *binding]
 
 	// parSolves/parShards count engagements of the partitioned solver
-	// (see SolveInternedCtx); surfaced via ParallelStats.
+	// (see SolveBound); surfaced via ParallelStats.
 	parSolves atomic.Uint64
 	parShards atomic.Uint64
 }
 
-// MaxBindings bounds the per-query binding memo so that compiled plans
-// retained in an engine cache do not pin an unbounded number of old
-// instance snapshots.
-const MaxBindings = 16
-
-// MaxBindingBytes bounds the same memo by size: a binding is
-// O(|q|·|adom|) int32s, so serving a few very large instances through
-// one plan sheds old snapshots by bytes long before the entry bound
-// bites.
-const MaxBindingBytes = 32 << 20
-
-// bindingBytes prices a binding for the memo's byte budget. Segments
-// shared between positions are counted once per binding; segments a
-// repair shares with the parent binding are charged to both — a
-// conservative over-count that errs toward evicting sooner.
-func bindingBytes(b *binding) int64 {
+// Bytes prices a binding for a memo's byte budget. Segments shared
+// between positions are counted once per binding; segments a repair
+// shares with the parent binding are charged to both — a conservative
+// over-count that errs toward evicting sooner.
+func (b *Binding) Bytes() int64 {
 	total := int64(4 * len(b.base))
 	seen := make(map[*posBinding]bool, len(b.pos))
 	for _, pb := range b.pos {
@@ -165,7 +142,7 @@ func bindingBytes(b *binding) int64 {
 	return total
 }
 
-// binding is the instance-side half of the Figure 5 machinery for one
+// Binding is the instance-side half of the Figure 5 machinery for one
 // (compiled query, interned instance snapshot) pair: per query position
 // v, one block state per block of relation q[v], plus a CSR index from
 // successor constant to the block states it decrements. The per-position
@@ -173,14 +150,14 @@ func bindingBytes(b *binding) int64 {
 // relation share one posBinding — and a lineage repair shares every
 // posBinding whose relation no touched block belongs to with the parent
 // binding, rebuilding only the touched relations' segments.
-// A binding is immutable after construction; per-Solve mutable state
+// A Binding is immutable after construction; per-solve mutable state
 // (the pending counters and the bitset) is copied out per call, so one
-// binding serves any number of concurrent Solve calls.
-type binding struct {
+// binding serves any number of concurrent solves.
+type Binding struct {
 	nc  int           // number of interned constants
 	pos []*posBinding // per position v; nil when q[v] is absent from the instance
 	// base[v] is the global block-state offset of position v (the
-	// per-Solve pending array concatenates the positions' segments);
+	// per-solve pending array concatenates the positions' segments);
 	// base[len(q)] is the total block-state count.
 	base []int32
 }
@@ -196,30 +173,6 @@ type posBinding struct {
 	// whose block contains value c.
 	refStart []int32 // len nc+1
 	refList  []int32
-}
-
-// bind returns the memoized binding for iv, building it on first use.
-// On a miss it first tries a lineage repair: if an ancestor snapshot's
-// binding is still resident, only the posBinding segments of relations
-// with touched blocks are rebuilt and everything else is shared.
-func (cp *Compiled) bind(iv *instance.Interned) *binding {
-	return cp.bindings.GetOrRepair(iv,
-		func(peek func(*instance.Interned) (*binding, bool)) (*binding, int, bool) {
-			var found *binding
-			parent, touched, ok := instance.Lineage(iv, func(a *instance.Interned) bool {
-				b, res := peek(a)
-				if res {
-					found = b
-				}
-				return res
-			})
-			if !ok {
-				return nil, 0, false
-			}
-			hops := iv.LineageDepth() - parent.LineageDepth()
-			return cp.repairBinding(found, iv, touched), hops, true
-		},
-		func() *binding { return cp.buildBinding(iv) })
 }
 
 // buildPos constructs the segment for relation rid of iv.
@@ -259,41 +212,27 @@ func buildPos(iv *instance.Interned, rid int32, nc int) *posBinding {
 	return pb
 }
 
-// buildBinding constructs the interned transition tables for iv from
-// scratch, sharing one segment across positions with the same relation.
-func (cp *Compiled) buildBinding(iv *instance.Interned) *binding {
-	n := len(cp.q)
-	nc := iv.NumConsts()
-	b := &binding{nc: nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
-	byRel := make(map[int32]*posBinding, n)
-	for v := 0; v < n; v++ {
-		rid, ok := iv.RelID(cp.q[v])
-		if !ok {
-			continue
-		}
-		pb := byRel[rid]
-		if pb == nil {
-			pb = buildPos(iv, rid, nc)
-			byRel[rid] = pb
-		}
-		b.pos[v] = pb
-	}
-	b.finalize()
-	return b
+// Bind constructs the interned transition tables for iv from scratch,
+// sharing one segment across positions with the same relation. When
+// opts engages on iv (see SolveOptions) the per-relation segments build
+// concurrently; the binding is identical either way.
+func (cp *Compiled) Bind(iv *instance.Interned, opts SolveOptions) *Binding {
+	return cp.buildBinding(iv, opts.WorkersFor(iv))
 }
 
-// repairBinding derives iv's binding from an ancestor's: segments of
-// relations owning a touched block are rebuilt against iv, all other
-// segments are shared with the parent binding (their relations'
-// interned blocks are aliased along the lineage, so the tables are
-// bit-identical).
-func (cp *Compiled) repairBinding(parent *binding, iv *instance.Interned, touched []instance.BlockRef) *binding {
+// Rebind derives iv's binding from an ancestor's (the lineage repair):
+// segments of relations owning a block in touched — the blocks that
+// differ between the ancestor's snapshot and iv — are rebuilt against
+// iv, all other segments are shared with the parent binding (their
+// relations' interned blocks are aliased along the lineage, so the
+// tables are bit-identical).
+func (cp *Compiled) Rebind(parent *Binding, iv *instance.Interned, touched []instance.BlockRef) *Binding {
 	n := len(cp.q)
 	touchedRel := make(map[int32]bool, len(touched))
 	for _, t := range touched {
 		touchedRel[t.Rel] = true
 	}
-	b := &binding{nc: parent.nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
+	b := &Binding{nc: parent.nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
 	rebuilt := make(map[int32]*posBinding, len(touchedRel))
 	for v := 0; v < n; v++ {
 		rid, ok := iv.RelID(cp.q[v])
@@ -316,7 +255,7 @@ func (cp *Compiled) repairBinding(parent *binding, iv *instance.Interned, touche
 }
 
 // finalize computes the per-position global block-state offsets.
-func (b *binding) finalize() {
+func (b *Binding) finalize() {
 	var sum int32
 	for v, pb := range b.pos {
 		b.base[v] = sum
@@ -335,14 +274,9 @@ func Compile(q words.Word) *Compiled {
 		q:           q.Clone(),
 		nfa:         automata.New(q),
 		backSources: make([][]int, n+1),
-		positions:   make(map[string][]int, n),
-		bindings:    memo.NewLRUWithBudget[*instance.Interned, *binding](MaxBindings, MaxBindingBytes, bindingBytes),
 	}
 	for u := 0; u <= n; u++ {
 		c.backSources[u] = c.nfa.BackwardSources(u)
-	}
-	for u, rel := range c.q {
-		c.positions[rel] = append(c.positions[rel], u)
 	}
 	return c
 }
@@ -352,20 +286,6 @@ func (c *Compiled) Query() words.Word { return c.q.Clone() }
 
 // NFA returns the compiled NFA(q).
 func (c *Compiled) NFA() *automata.NFA { return c.nfa }
-
-// BindingStats returns the hit/miss counters of the per-snapshot
-// binding memo: Misses is the number of instance-bound table builds,
-// Hits the number of Solves served from a resident binding.
-func (c *Compiled) BindingStats() memo.Stats { return c.bindings.Stats() }
-
-// SetMemoScale sets the binding memo's byte budget to scale × the
-// compile-time default (the serving layer's soft-memory-watermark
-// hook); scale >= 1 restores the default. Shrinking evicts LRU
-// bindings, degrading warm decisions to cold builds instead of growing
-// the heap.
-func (c *Compiled) SetMemoScale(scale float64) {
-	c.bindings.SetBudget(memo.ScaledBudget(MaxBindingBytes, scale))
-}
 
 // Solve runs the worklist implementation of the Figure 5 algorithm on db
 // for path query q. The Certain field of the result decides
@@ -383,11 +303,14 @@ func (cp *Compiled) Solve(db *instance.Instance) *Result {
 	return cp.SolveInterned(db.Interned())
 }
 
-// SolveInterned is Solve on an interned snapshot directly. Callers that
-// already hold the snapshot (the NL tier's sub-solvers) use it so that
-// everything they derive — and memoize under that snapshot pointer — is
-// a function of the snapshot alone.
+// SolveInterned is Solve on an interned snapshot directly: it binds iv
+// from scratch and runs the single-core worklist.
 func (cp *Compiled) SolveInterned(iv *instance.Interned) *Result {
+	return cp.solve(iv, cp.Bind(iv, SolveOptions{}))
+}
+
+// solve is the single-core worklist over a binding of iv.
+func (cp *Compiled) solve(iv *instance.Interned, b *Binding) *Result {
 	n := len(cp.q)
 	nc := iv.NumConsts()
 	res := &Result{Query: cp.q.Clone(), iv: iv, nq: n}
@@ -403,7 +326,6 @@ func (cp *Compiled) SolveInterned(iv *instance.Interned) *Result {
 		return res
 	}
 
-	b := cp.bind(iv)
 	stride := n + 1
 	bits := bitset.New(nc * stride)
 	// pending[i] counts the successors of block state i not yet known to
@@ -591,49 +513,54 @@ func FormatTrace(q words.Word, traces []Trace) string {
 }
 
 // CounterexampleRepair constructs the repair r* of the proof of
-// Lemma 10: for every block R(a,*), among all prefixes u0·R of q ending
-// with R, let u0 be the longest with ⟨a, u0⟩ ∉ N; if such a prefix
-// exists, pick a fact R(a,b) with ⟨b, u0·R⟩ ∉ N, else pick arbitrarily
-// (we pick the smallest value for determinism). For a path query q
-// satisfying C3, if db is a no-instance then the returned repair
-// falsifies q; it is also the ⪯q-minimal repair of Lemma 9, minimizing
-// start(q, ·) over all repairs (Lemma 6).
+// Lemma 10 for db (see Result.MinimalRepair), solving first when res
+// is nil.
 func CounterexampleRepair(db *instance.Instance, q words.Word, res *Result) *instance.Instance {
 	if res == nil {
 		res = Solve(db, q)
 	}
-	r := instance.New()
-	for _, id := range db.Blocks() {
-		vals := db.Block(id.Rel, id.Key)
-		chosen := vals[0]
-		// Longest prefix u0 ending before an occurrence of id.Rel with
-		// ⟨key, u0⟩ ∉ N.
-		for u := len(q) - 1; u >= 0; u-- {
-			if q[u] != id.Rel {
-				continue
-			}
-			if res.Has(id.Key, u) {
-				continue
-			}
-			// Iterative Rule guarantees some successor with
-			// ⟨y, u+1⟩ ∉ N.
-			found := false
-			for _, y := range vals {
-				if !res.Has(y, u+1) {
-					chosen = y
-					found = true
-					break
+	return res.MinimalRepair()
+}
+
+// MinimalRepair constructs the repair r* of the proof of Lemma 10 from
+// the relation N, on the solved snapshot's interned blocks: for every
+// block R(a,*), among all prefixes u0·R of q ending with R, let u0 be
+// the longest with ⟨a, u0⟩ ∉ N; if such a prefix exists, pick a fact
+// R(a,b) with ⟨b, u0·R⟩ ∉ N, else pick arbitrarily (the smallest value,
+// for determinism). For a path query q satisfying C3, if the instance
+// is a no-instance then the returned repair falsifies q; it is also the
+// ⪯q-minimal repair of Lemma 9, minimizing start(q, ·) over all repairs
+// (Lemma 6).
+func (r *Result) MinimalRepair() *instance.Instance {
+	iv, stride := r.iv, r.nq+1
+	out := instance.New()
+	for rid := 0; rid < iv.NumRels(); rid++ {
+		rel := iv.Rel(int32(rid))
+		for _, bl := range iv.RelBlocks(int32(rid)) {
+			chosen := bl.Vals[0]
+			for u := r.nq - 1; u >= 0; u-- {
+				if r.Query[u] != rel || r.bits.Test(int(bl.Key)*stride+u) {
+					continue
 				}
+				// Iterative Rule guarantees some successor with
+				// ⟨y, u+1⟩ ∉ N.
+				found := false
+				for _, y := range bl.Vals {
+					if !r.bits.Test(int(y)*stride + u + 1) {
+						chosen, found = y, true
+						break
+					}
+				}
+				if !found {
+					// Cannot happen if r is the true fixpoint.
+					panic(fmt.Sprintf("fixpoint: block %s(%s,*): ⟨%s,%d⟩ ∉ N but all successors in N", rel, iv.Const(bl.Key), iv.Const(bl.Key), u))
+				}
+				break
 			}
-			if !found {
-				// Cannot happen if res is the true fixpoint.
-				panic(fmt.Sprintf("fixpoint: block %v: ⟨%s,%d⟩ ∉ N but all successors in N", id, id.Key, u))
-			}
-			break
+			out.AddFact(rel, iv.Const(bl.Key), iv.Const(chosen))
 		}
-		r.AddFact(id.Rel, id.Key, chosen)
 	}
-	return r
+	return out
 }
 
 // StatesSet computes ST_q(f, r) of Definition 7 for a fact f of a

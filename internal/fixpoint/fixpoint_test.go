@@ -346,10 +346,10 @@ func TestFormatTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesAfterMutation checks the binding memo against
-// instance mutation: a Compiled query bound to an instance must see
-// the post-mutation state on the next Solve (the stale interned
-// snapshot is unreachable after the mutation publishes a new one).
+// TestSolveMatchesAfterMutation checks a Compiled query against
+// instance mutation: it must see the post-mutation state on the next
+// Solve (the stale interned snapshot is unreachable after the mutation
+// publishes a new one).
 func TestSolveMatchesAfterMutation(t *testing.T) {
 	cp := Compile(words.MustParse("RRX"))
 	db := instance.MustParseFacts("R(0,1) R(1,2) R(1,3) R(2,3) X(3,4)")

@@ -28,9 +28,18 @@ func (o SolveOptions) Engaged(iv *instance.Interned) bool {
 	return o.Workers > 1 && iv.NumFacts() >= o.Threshold && iv.NumConsts() > 0
 }
 
+// WorkersFor is the worker count opts engages on iv: Workers when it
+// engages, 1 otherwise.
+func (o SolveOptions) WorkersFor(iv *instance.Interned) int {
+	if o.Engaged(iv) {
+		return o.Workers
+	}
+	return 1
+}
+
 // ParallelStats counts uses of the partitioned path.
 type ParallelStats struct {
-	// Solves is the number of solves (or memoized NL builds) that
+	// Solves is the number of solves (or NL binding builds) that
 	// engaged the partitioned path.
 	Solves uint64 `json:"solves"`
 	// Shards is the total number of constant-range shards those solves
@@ -57,24 +66,28 @@ func (c *Compiled) ParallelStats() ParallelStats {
 // chain link.
 const drainThreshold = 4096
 
-// SolveInternedCtx is SolveInterned with cancellation and parallelism.
-// When opts engages (see SolveOptions), initialization, the Iterative
-// Rule frontier scan, and the result extraction are sharded by
-// constant-id range across a worker pool, with per-shard frontier
+// SolveInternedCtx is SolveInterned with cancellation and parallelism:
+// it binds iv from scratch and solves with SolveBound.
+func (cp *Compiled) SolveInternedCtx(ctx context.Context, iv *instance.Interned, opts SolveOptions) (*Result, error) {
+	return cp.SolveBound(ctx, iv, cp.Bind(iv, opts), opts)
+}
+
+// SolveBound runs the worklist over b, a binding of iv (from Bind or
+// Rebind). When opts engages (see SolveOptions), initialization, the
+// Iterative Rule frontier scan, and the result extraction are sharded
+// by constant-id range across a worker pool, with per-shard frontier
 // accumulators merged word-wise per round; ctx is polled between
 // rounds, so a mid-solve cancellation aborts without publishing a
-// partial result (the memoized binding is never left partial — its
-// build does not observe ctx). When opts does not engage, this is
-// exactly SolveInterned on the unchanged single-core path.
-func (cp *Compiled) SolveInternedCtx(ctx context.Context, iv *instance.Interned, opts SolveOptions) (*Result, error) {
+// partial result (b itself is never written). When opts does not
+// engage, this is the single-core worklist.
+func (cp *Compiled) SolveBound(ctx context.Context, iv *instance.Interned, b *Binding, opts SolveOptions) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if len(cp.q) == 0 || !opts.Engaged(iv) {
-		//cqalint:allow ctxpropagate non-engaged fallback is the documented single-core path; ctx was polled at entry and the memoized binding must not observe cancellation mid-build
-		return cp.SolveInterned(iv), nil
+		return cp.solve(iv, b), nil
 	}
-	return cp.solveParallel(ctx, iv, opts.Workers)
+	return cp.solveParallel(ctx, iv, b, opts.Workers)
 }
 
 // solveParallel is the partitioned worklist solver. Each round is a
@@ -89,7 +102,7 @@ func (cp *Compiled) SolveInternedCtx(ctx context.Context, iv *instance.Interned,
 // interval they dirtied, so merges scan only words some worker (or the
 // previous frontier) actually touched — a frontier that collapses to a
 // narrow id range costs its width, not the whole vector.
-func (cp *Compiled) solveParallel(ctx context.Context, iv *instance.Interned, workers int) (*Result, error) {
+func (cp *Compiled) solveParallel(ctx context.Context, iv *instance.Interned, b *Binding, workers int) (*Result, error) {
 	n := len(cp.q)
 	nc := iv.NumConsts()
 	stride := n + 1
@@ -98,7 +111,6 @@ func (cp *Compiled) solveParallel(ctx context.Context, iv *instance.Interned, wo
 	cp.parSolves.Add(1)
 	cp.parShards.Add(uint64(nw))
 
-	b := cp.bindWorkers(iv, nw)
 	res := &Result{Query: cp.q.Clone(), iv: iv, nq: n}
 
 	nbits := nc * stride
@@ -275,7 +287,7 @@ func (cp *Compiled) solveParallel(ctx context.Context, iv *instance.Interned, wo
 // SolveInterned (bits and pending are already consistent — every
 // frontier bit is set in bits, and pending holds the counters after
 // all scanned decrements).
-func (cp *Compiled) drainSequential(b *binding, bits, frontier bitset.Bits, pending []int32, glo, ghi int) {
+func (cp *Compiled) drainSequential(b *Binding, bits, frontier bitset.Bits, pending []int32, glo, ghi int) {
 	n := len(cp.q)
 	stride := n + 1
 	queue := make([]int32, 0, drainThreshold)
@@ -314,41 +326,14 @@ func (cp *Compiled) drainSequential(b *binding, bits, frontier bitset.Bits, pend
 	}
 }
 
-// bindWorkers is bind with a parallel cold build: on a memo miss with
-// no repairable ancestor, the per-relation CSR segments build
-// concurrently (distinct relations write disjoint posBindings). Repair
-// stays sequential — it rebuilds only touched relations, which is
-// already the cheap path.
-func (cp *Compiled) bindWorkers(iv *instance.Interned, workers int) *binding {
-	if workers <= 1 {
-		return cp.bind(iv)
-	}
-	return cp.bindings.GetOrRepair(iv,
-		func(peek func(*instance.Interned) (*binding, bool)) (*binding, int, bool) {
-			var found *binding
-			parent, touched, ok := instance.Lineage(iv, func(a *instance.Interned) bool {
-				b, res := peek(a)
-				if res {
-					found = b
-				}
-				return res
-			})
-			if !ok {
-				return nil, 0, false
-			}
-			hops := iv.LineageDepth() - parent.LineageDepth()
-			return cp.repairBinding(found, iv, touched), hops, true
-		},
-		func() *binding { return cp.buildBindingPar(iv, workers) })
-}
-
-// buildBindingPar is buildBinding with the per-relation segments built
-// concurrently; the resulting binding is identical to the sequential
-// build's.
-func (cp *Compiled) buildBindingPar(iv *instance.Interned, workers int) *binding {
+// buildBinding builds iv's binding from scratch with the per-relation
+// segments built on up to workers goroutines (distinct relations write
+// disjoint posBindings); one segment is shared across positions with
+// the same relation.
+func (cp *Compiled) buildBinding(iv *instance.Interned, workers int) *Binding {
 	n := len(cp.q)
 	nc := iv.NumConsts()
-	b := &binding{nc: nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
+	b := &Binding{nc: nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
 	posRel := make([]int32, n) // rid per position, -1 when absent
 	slot := make(map[int32]int, n)
 	rids := make([]int32, 0, n)

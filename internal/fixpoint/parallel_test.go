@@ -138,7 +138,7 @@ func (c *stepCtx) Err() error {
 
 // TestSolveParallelCancellation cancels between rounds of the
 // partitioned loop and checks the solve aborts with the context error,
-// without poisoning the memoized binding for a retry.
+// without poisoning the binding it solved on for a retry.
 func TestSolveParallelCancellation(t *testing.T) {
 	// A single-relation instance big enough that round one's frontier
 	// (every constant) and round two's (every derived block key) both
@@ -150,11 +150,12 @@ func TestSolveParallelCancellation(t *testing.T) {
 	iv := db.Interned()
 	cp := Compile(words.MustParse("R"))
 	opts := SolveOptions{Workers: 4}
+	b := cp.Bind(iv, opts)
 
 	// Sanity: uncancelled parallel solve matches sequential and polls
 	// more than twice (entry + at least two rounds).
 	probe := &stepCtx{limit: 1 << 30}
-	res, err := cp.SolveInternedCtx(probe, iv, opts)
+	res, err := cp.SolveBound(probe, iv, b, opts)
 	if err != nil || res == nil {
 		t.Fatalf("uncancelled solve: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestSolveParallelCancellation(t *testing.T) {
 
 	// Cancel at the second round's poll: after real parallel work, before
 	// completion.
-	res2, err := cp.SolveInternedCtx(&stepCtx{limit: 2}, iv, opts)
+	res2, err := cp.SolveBound(&stepCtx{limit: 2}, iv, b, opts)
 	if err != context.Canceled {
 		t.Fatalf("cancelled solve: err = %v, want context.Canceled", err)
 	}
@@ -173,12 +174,12 @@ func TestSolveParallelCancellation(t *testing.T) {
 	}
 
 	// Entry-cancelled: no work at all.
-	if _, err := cp.SolveInternedCtx(&stepCtx{limit: 0}, iv, opts); err != context.Canceled {
+	if _, err := cp.SolveBound(&stepCtx{limit: 0}, iv, b, opts); err != context.Canceled {
 		t.Fatalf("entry cancel: err = %v", err)
 	}
 
-	// Retry after cancellation succeeds with the same memoized binding.
-	res3, err := cp.SolveInternedCtx(context.Background(), iv, opts)
+	// Retry after cancellation succeeds on the same binding.
+	res3, err := cp.SolveBound(context.Background(), iv, b, opts)
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}

@@ -6,8 +6,38 @@ import (
 	"testing"
 
 	"cqa/internal/instance"
+	"cqa/internal/memo"
 	"cqa/internal/words"
 )
+
+// maxResident is the memo bound of memoSolver, matching the plan
+// layer's per-tier snapshot bound.
+const maxResident = 16
+
+// memoSolver solves through a lineage-aware binding memo, the way the
+// plan layer's tier seam holds fixpoint bindings: a miss repairs the
+// nearest resident ancestor's binding (Rebind) or binds cold.
+type memoSolver struct {
+	cp   *Compiled
+	memo *memo.LRU[*instance.Interned, *Binding]
+}
+
+func newMemoSolver(q words.Word) *memoSolver {
+	return &memoSolver{cp: Compile(q), memo: memo.NewLRU[*instance.Interned, *Binding](maxResident)}
+}
+
+func (s *memoSolver) bind(iv *instance.Interned) *Binding {
+	return memo.GetLineage(s.memo, iv,
+		func(parent *Binding, touched []instance.BlockRef) (*Binding, bool) {
+			return s.cp.Rebind(parent, iv, touched), true
+		},
+		func() *Binding { return s.cp.Bind(iv, SolveOptions{}) })
+}
+
+func (s *memoSolver) Solve(db *instance.Instance) *Result {
+	iv := db.Interned()
+	return s.cp.solve(iv, s.bind(iv))
+}
 
 // churnInstance builds an instance with conflicting blocks over a fixed
 // universe so in-place mutations ride the delta-interning path.
@@ -28,7 +58,7 @@ func churnInstance() *instance.Instance {
 func TestBindingRepairMatchesColdSolve(t *testing.T) {
 	q := words.Word{"R", "S", "R"}
 	db := churnInstance()
-	cp := Compile(q)
+	cp := newMemoSolver(q)
 	cp.Solve(db) // cold build for the root snapshot
 
 	consts := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
@@ -52,7 +82,7 @@ func TestBindingRepairMatchesColdSolve(t *testing.T) {
 			t.Fatalf("step %d: repaired N differs from cold N", step)
 		}
 	}
-	s := cp.BindingStats()
+	s := cp.memo.Stats()
 	if s.Repairs == 0 {
 		t.Errorf("stats = %+v, want repairs > 0 (mutations stay in-universe)", s)
 	}
@@ -64,7 +94,7 @@ func TestBindingRepairMatchesColdSolve(t *testing.T) {
 func TestBindingRepairSharesUntouchedSegments(t *testing.T) {
 	q := words.Word{"R", "S"}
 	db := churnInstance()
-	cp := Compile(q)
+	cp := newMemoSolver(q)
 
 	iv1 := db.Interned()
 	b1 := cp.bind(iv1)
@@ -74,7 +104,7 @@ func TestBindingRepairSharesUntouchedSegments(t *testing.T) {
 		t.Fatalf("mutation should have produced a delta snapshot")
 	}
 	b2 := cp.bind(iv2)
-	if s := cp.BindingStats(); s.Repairs != 1 {
+	if s := cp.memo.Stats(); s.Repairs != 1 {
 		t.Fatalf("stats = %+v, want exactly one repair", s)
 	}
 	if b2.pos[0] == b1.pos[0] {
@@ -88,7 +118,7 @@ func TestBindingRepairSharesUntouchedSegments(t *testing.T) {
 func TestBindingRepairAfterUniverseChangeFallsBackCold(t *testing.T) {
 	q := words.Word{"R", "S"}
 	db := churnInstance()
-	cp := Compile(q)
+	cp := newMemoSolver(q)
 	cp.Solve(db)
 	db.AddFact("R", "c0", "brand-new") // universe change: fresh lineage root
 	if db.Interned().Delta() != nil {
@@ -99,18 +129,18 @@ func TestBindingRepairAfterUniverseChangeFallsBackCold(t *testing.T) {
 	if got.Certain != want.Certain || !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
 		t.Fatalf("cold fallback solve diverged from independent cold solve")
 	}
-	if s := cp.BindingStats(); s.Repairs != 0 {
+	if s := cp.memo.Stats(); s.Repairs != 0 {
 		t.Errorf("stats = %+v, want no repairs across a lineage break", s)
 	}
 }
 
 func TestBindingRepairSkipsDeeperThanResident(t *testing.T) {
 	// Evict the whole memo between mutations by churning more snapshots
-	// than MaxBindings, then check the repaired result still matches.
+	// than the memo holds, then check the repaired result still matches.
 	q := words.Word{"R", "R"}
 	db := churnInstance()
-	cp := Compile(q)
-	for i := 0; i < MaxBindings+4; i++ {
+	cp := newMemoSolver(q)
+	for i := 0; i < maxResident+4; i++ {
 		f := instance.Fact{Rel: "R", Key: "c1", Val: fmt.Sprintf("c%d", i%4)}
 		if db.Contains(f) && len(db.Block("R", "c1")) > 1 {
 			db.Remove(f)

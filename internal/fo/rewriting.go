@@ -101,14 +101,12 @@ func CertainAt(db *instance.Instance, q words.Word, c string) bool {
 	return CertainStarts(db, q)[c]
 }
 
-// IsCertainFO decides CERTAINTY(q) using the Lemma 13 rewriting. It is
-// a correct decision procedure iff q satisfies C1; callers must check
+// IsCertainFO decides CERTAINTY(q) using the Lemma 13 rewriting,
+// evaluated as the interned Lemma 12 DP (CertainStartsBits). It is a
+// correct decision procedure iff q satisfies C1; callers must check
 // classification first (the cqa facade does).
 func IsCertainFO(db *instance.Instance, q words.Word) bool {
-	if len(q) == 0 {
-		return true
-	}
-	return len(CertainStarts(db, q)) > 0
+	return len(q) == 0 || CertainStartsBits(db.Interned(), q).Count() > 0
 }
 
 // Terminal reports whether constant c is terminal for q in db

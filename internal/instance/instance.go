@@ -107,8 +107,9 @@ type Instance struct {
 	// snapshot on the current lineage). undoCollapse compares candidate
 	// states against it so that flapping between two states A<->B
 	// resolves both directions to existing pointers instead of
-	// re-cloning B's snapshot on every revisit.
-	lastDelta *Interned
+	// re-cloning B's snapshot on every revisit. Concurrent first readers
+	// of a new state all build (and record) a delta, so it is atomic.
+	lastDelta atomic.Pointer[Interned]
 }
 
 // viewCache is an immutable snapshot of the sorted accessor views; nil
@@ -664,7 +665,7 @@ func (db *Instance) internedDelta() *Interned {
 		depth = prev.delta.Depth + 1
 	}
 	child.delta = &Delta{Parent: prev, Touched: touched, Depth: depth}
-	db.lastDelta = child
+	db.lastDelta.Store(child)
 	return child
 }
 
@@ -695,7 +696,7 @@ func (db *Instance) undoCollapse(prev *Interned, edits []blockEdit) *Interned {
 		touchedCovered(d.Touched, edits) && editsMatch(d.Parent, edits) {
 		return d.Parent
 	}
-	if c := db.lastDelta; c != nil && c != prev && c.delta.Parent == prev &&
+	if c := db.lastDelta.Load(); c != nil && c != prev && c.delta.Parent == prev &&
 		c.nfacts == nfacts && touchedCovered(c.delta.Touched, edits) &&
 		editsMatch(c, edits) {
 		return c

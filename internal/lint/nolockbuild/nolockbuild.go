@@ -21,8 +21,8 @@
 //   - channel sends and receives (blocking handoffs), except inside a
 //     select that has a default clause;
 //   - known expensive or blocking callees: plan.Compile, the memo
-//     build entry points (LRU.Get / LRU.GetOrRepair), sync.WaitGroup.
-//     Wait, sync.Cond.Wait, sync.Once.Do, and time.Sleep;
+//     build entry points (LRU.Get / LRU.GetOrRepair / GetLineage),
+//     sync.WaitGroup.Wait, sync.Cond.Wait, sync.Once.Do, and time.Sleep;
 //   - same-package callees whose body acquires any lock (a one-level
 //     call-graph check);
 //   - dynamic calls through function values, whose callee the analyzer
@@ -349,7 +349,8 @@ func (c *checker) checkCall(call *ast.CallExpr, h heldLock) {
 	case typeutil.IsPkgFunc(fn, "cqa/internal/plan", "Compile"):
 		c.pass.Reportf(call.Pos(), "plan.Compile while holding %s; compilation (classification + DFA certification) must run outside locks (see Engine.compileEntry)", h.key)
 	case typeutil.IsMethod(fn, "cqa/internal/memo", "LRU", "Get"),
-		typeutil.IsMethod(fn, "cqa/internal/memo", "LRU", "GetOrRepair"):
+		typeutil.IsMethod(fn, "cqa/internal/memo", "LRU", "GetOrRepair"),
+		typeutil.IsPkgFunc(fn, "cqa/internal/memo", "GetLineage"):
 		c.pass.Reportf(call.Pos(), "memo build entry point %s while holding %s; artifact builds run outside locks by contract", fn.Name(), h.key)
 	case typeutil.IsMethod(fn, "sync", "WaitGroup", "Wait"),
 		typeutil.IsMethod(fn, "sync", "Cond", "Wait"),

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"cqa/internal/faultinject"
+	"cqa/internal/instance"
 )
 
 // ErrBuildPanicked is the panic value delivered to a caller that joined
@@ -170,6 +171,30 @@ func (m *LRU[K, V]) GetOrRepair(key K, repair func(peek func(K) (V, bool)) (V, i
 		}
 		return build()
 	})
+}
+
+// GetLineage is GetOrRepair for a memo keyed by interned snapshots: on
+// a miss it walks iv's delta lineage (instance.Lineage) to the nearest
+// ancestor whose value is resident and hands that value, with every
+// block touched since, to repair. A repair that declines (ok false), or
+// a lineage with no resident ancestor, falls back to build.
+func GetLineage[V any](m *LRU[*instance.Interned, V], iv *instance.Interned,
+	repair func(parent V, touched []instance.BlockRef) (V, bool), build func() V) V {
+	return m.GetOrRepair(iv, func(peek func(*instance.Interned) (V, bool)) (V, int, bool) {
+		var found V
+		anc, touched, ok := instance.Lineage(iv, func(a *instance.Interned) bool {
+			v, res := peek(a)
+			if res {
+				found = v
+			}
+			return res
+		})
+		if !ok {
+			return found, 0, false
+		}
+		v, ok := repair(found, touched)
+		return v, iv.LineageDepth() - anc.LineageDepth(), ok
+	}, build)
 }
 
 // Peek returns the finished value for key if one is resident, without

@@ -56,10 +56,7 @@ func TestCycleVerticesSelfLoop(t *testing.T) {
 // does): the concurrent phases check that snapshot-keyed artifact
 // sharing is race-free.
 func TestEvaluatorInvalidation(t *testing.T) {
-	e, err := NewEvaluator(words.MustParse("RRX"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newMemoEvaluator(t, words.MustParse("RRX"))
 	db := instance.MustParseFacts("R(0,1) R(1,2) R(1,3) R(2,3) X(3,4)")
 
 	concurrent := func(want bool, phase string) {
@@ -95,7 +92,7 @@ func TestEvaluatorInvalidation(t *testing.T) {
 	db.AddFact("X", "3", "4")
 	concurrent(true, "after re-Add")
 
-	if n := e.bindings.Len(); n != 3 {
+	if n := e.memo.Len(); n != 3 {
 		t.Errorf("binding memo holds %d snapshots, want 3", n)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"cqa/internal/fixpoint"
 	"cqa/internal/fo"
 	"cqa/internal/instance"
-	"cqa/internal/memo"
 	"cqa/internal/regex"
 	"cqa/internal/words"
 )
@@ -213,15 +212,13 @@ func clamp(x, lo, hi int) int {
 // machinery for its sub-words (the whole word when the loop is empty,
 // the exit word otherwise). Building an Evaluator pays the Decompose
 // cost — candidate enumeration plus DFA-equivalence certification —
-// exactly once; IsCertain then runs only instance-dependent work, and
-// the instance-bound artifacts of the Lemma 14 procedure (exit
-// avoidance, terminal bitsets, the loop-step graph and the predicates P
-// and O derived from them) are memoized per interned instance snapshot,
-// so repeated calls on an unchanged instance do near-zero work. A
-// mutation publishes a fresh *instance.Interned, making stale artifacts
-// unreachable — the same invalidation-by-mutation scheme as
-// fixpoint.Compiled, sharing its LRU memo policy. An Evaluator is safe
-// for concurrent use.
+// exactly once; the instance-bound artifacts of the Lemma 14 procedure
+// (exit avoidance, terminal bitsets, the loop-step graph and the
+// predicates P and O derived from them) form a Binding per interned
+// snapshot, built by Bind and repaired along the snapshot lineage by
+// Rebind. The plan layer memoizes bindings per snapshot, so repeated
+// decisions on an unchanged instance do near-zero work. An Evaluator
+// holds no per-instance state and is safe for concurrent use.
 type Evaluator struct {
 	q words.Word
 	d *Decomposition
@@ -231,10 +228,6 @@ type Evaluator struct {
 	// exit is the compiled fixpoint machinery for the exit word, used
 	// by the avoidance predicate when the loop is nonempty.
 	exit *fixpoint.Compiled
-	// bindings memoizes the instance-bound artifacts per interned
-	// snapshot pointer (loop decompositions only; the loop-free forms
-	// delegate to whole, which carries its own memo).
-	bindings *memo.LRU[*instance.Interned, *nlBinding]
 	// relsExit/relsLoop/relsPre are the relation-name dependency sets of
 	// the three artifact stages, driving the slice-granular repair: a
 	// touched block of a relation outside a stage's set cannot reach
@@ -243,9 +236,9 @@ type Evaluator struct {
 	relsLoop map[string]bool
 	relsPre  map[string]bool
 
-	// parSolves/parShards count memoized binding builds that ran the
-	// partitioned passes (see IsCertainOpts); surfaced via
-	// ParallelStats together with the sub-solvers' counters.
+	// parSolves/parShards count binding builds that ran the partitioned
+	// passes (see Bind); surfaced via ParallelStats together with the
+	// sub-solvers' counters.
 	parSolves atomic.Uint64
 	parShards atomic.Uint64
 }
@@ -270,21 +263,11 @@ func NewEvaluator(q words.Word) (*Evaluator, error) {
 }
 
 func newEvaluator(q words.Word, d *Decomposition) *Evaluator {
-	e := &Evaluator{q: q.Clone(), d: d}
+	e := &Evaluator{q: q.Clone(), d: d, relsExit: relSet(d.Exit), relsLoop: relSet(d.Loop), relsPre: relSet(d.Pre)}
 	if d.Loop.IsEmpty() {
 		e.whole = fixpoint.Compile(words.Concat(d.Pre, d.Exit))
-	} else {
-		if !d.Exit.IsEmpty() {
-			e.exit = fixpoint.Compile(d.Exit)
-		}
-		// Entry- and byte-bounded like the fixpoint binding memo; a
-		// binding is a handful of word-per-64-constants bitsets plus the
-		// loop-step CSR.
-		e.bindings = memo.NewLRUWithBudget[*instance.Interned, *nlBinding](
-			fixpoint.MaxBindings, fixpoint.MaxBindingBytes, nlBindingBytes)
-		e.relsExit = relSet(d.Exit)
-		e.relsLoop = relSet(d.Loop)
-		e.relsPre = relSet(d.Pre)
+	} else if !d.Exit.IsEmpty() {
+		e.exit = fixpoint.Compile(d.Exit)
 	}
 	return e
 }
@@ -292,61 +275,23 @@ func newEvaluator(q words.Word, d *Decomposition) *Evaluator {
 // Decomposition returns the certified decomposition the evaluator runs.
 func (e *Evaluator) Decomposition() *Decomposition { return e.d }
 
-// BindingStats aggregates the hit/miss counters of every per-snapshot
-// memo behind the evaluator: the NL artifact memo itself plus the
-// binding memos of whichever fixpoint sub-solvers the decomposition
-// uses (the loop-free whole, or the exit-word avoidance solver).
-func (e *Evaluator) BindingStats() memo.Stats {
-	var s memo.Stats
-	if e.bindings != nil {
-		s = s.Add(e.bindings.Stats())
-	}
-	if e.whole != nil {
-		s = s.Add(e.whole.BindingStats())
-	}
-	if e.exit != nil {
-		s = s.Add(e.exit.BindingStats())
-	}
-	return s
-}
-
-// SetMemoScale sets every memo behind the evaluator — the NL artifact
-// memo and the fixpoint sub-solvers' binding memos — to scale × its
-// compile-time default byte budget (the soft-memory-watermark hook);
-// scale >= 1 restores the defaults.
-func (e *Evaluator) SetMemoScale(scale float64) {
-	if e.bindings != nil {
-		e.bindings.SetBudget(memo.ScaledBudget(fixpoint.MaxBindingBytes, scale))
-	}
-	if e.whole != nil {
-		e.whole.SetMemoScale(scale)
-	}
-	if e.exit != nil {
-		e.exit.SetMemoScale(scale)
-	}
-}
-
 // IsCertain decides CERTAINTY(q) on db with the precompiled machinery,
 // evaluating "∃c ∈ adom(db): ¬O(c)".
 func (e *Evaluator) IsCertain(db *instance.Instance) bool {
 	return e.IsCertainOpts(db, fixpoint.SolveOptions{})
 }
 
-// IsCertainOpts is IsCertain with explicit parallel solve options: when
-// opts engages on db's snapshot (see fixpoint.SolveOptions), the
-// instance-bound stages of a cold evaluation — the exit-word fixpoint,
-// the Lemma 12 terminal DPs, the restricted loop-step graph, and the
-// reverse-reachability pass behind P and O — shard across opts.Workers
-// (Tarjan's SCC pass stays sequential). Warm calls hit the per-snapshot
-// memo either way; the memoized artifacts are identical to the
-// single-core path's.
+// IsCertainOpts is IsCertain with explicit parallel solve options (see
+// Bind); it binds db's snapshot from scratch on every call.
 func (e *Evaluator) IsCertainOpts(db *instance.Instance, opts fixpoint.SolveOptions) bool {
-	if len(e.q) == 0 {
-		return true
-	}
-	o, iv := e.computeOBits(db, opts)
-	// Certain iff some adom constant has its O bit clear.
-	return o.Count() < iv.NumConsts()
+	iv := db.Interned()
+	return e.Certain(iv, e.Bind(iv, opts))
+}
+
+// Certain decides CERTAINTY(q) on iv from its binding b: certain iff
+// some adom constant has its O bit clear.
+func (e *Evaluator) Certain(iv *instance.Interned, b *Binding) bool {
+	return len(e.q) == 0 || b.o.Count() < iv.NumConsts()
 }
 
 // ParallelStats aggregates the partitioned-path counters of the
@@ -380,7 +325,8 @@ func IsCertain(db *instance.Instance, q words.Word) (bool, *Decomposition, error
 // evaluator computes; callers on hot paths should use Evaluator
 // directly.
 func ComputeO(db *instance.Instance, d *Decomposition) map[string]bool {
-	o, iv := newEvaluator(d.queryWord(), d).computeOBits(db, fixpoint.SolveOptions{})
+	iv := db.Interned()
+	o := newEvaluator(d.queryWord(), d).Bind(iv, fixpoint.SolveOptions{}).o
 	out := make(map[string]bool, iv.NumConsts())
 	for c := 0; c < iv.NumConsts(); c++ {
 		out[iv.Const(int32(c))] = o.Test(c)
@@ -393,14 +339,19 @@ func ComputeO(db *instance.Instance, d *Decomposition) map[string]bool {
 // loop-free forms and pre/exit individually otherwise).
 func (d *Decomposition) queryWord() words.Word { return words.Concat(d.Pre, d.Exit) }
 
-// nlBinding holds the instance-bound artifacts of the Lemma 14
-// procedure for one (evaluator, interned snapshot) pair, staged so a
-// lineage repair can reuse every stage a mutation does not reach.
-// Everything here is a pure function of the immutable snapshot, so the
-// binding is itself immutable and safe to share across any number of
-// concurrent IsCertain calls — a repaired binding therefore never
-// patches the parent's slices in place; stages it reuses are aliased.
-type nlBinding struct {
+// Binding holds the instance-bound artifacts of the Lemma 14 procedure
+// for one (evaluator, interned snapshot) pair, staged so a lineage
+// repair can reuse every stage a mutation does not reach. Everything
+// here is a pure function of the immutable snapshot, so the binding is
+// itself immutable and safe to share across any number of concurrent
+// decisions — a repaired binding therefore never patches the parent's
+// slices in place; stages it reuses are aliased. A loop-free
+// decomposition sets only sub and o.
+type Binding struct {
+	// sub is the fixpoint sub-solver's binding: the whole word's for a
+	// loop-free decomposition, the exit word's otherwise (nil when the
+	// exit is empty).
+	sub *fixpoint.Binding
 	// avoid: bit d set iff some repair has no exit-trace path from d
 	// (complement of the exit word's fixpoint start bits). Depends on
 	// the exit word's relations only.
@@ -421,49 +372,60 @@ type nlBinding struct {
 	o bitset.Bits
 }
 
-// nlBindingBytes prices a binding for the memo's byte budget. Stages
-// shared with a parent binding are charged to both — a conservative
-// over-count.
-func nlBindingBytes(b *nlBinding) int64 {
-	return 8*int64(len(b.avoid)+len(b.loopTerminal)+len(b.p)+len(b.o)) +
+// Bytes prices a binding for a memo's byte budget. Stages shared with a
+// parent binding are charged to both — a conservative over-count.
+func (b *Binding) Bytes() int64 {
+	n := 8*int64(len(b.avoid)+len(b.loopTerminal)+len(b.p)+len(b.o)) +
 		4*int64(len(b.adjStart)+len(b.adjList))
-}
-
-// bind returns the memoized artifacts for iv, building them on first
-// use. On a miss it first tries a lineage repair: if an ancestor
-// snapshot's binding is resident, only the stages whose relation
-// dependency sets meet the touched blocks are recomputed — with an
-// equality cut: a recomputed stage that comes out identical to the
-// parent's stops the downstream cascade.
-func (e *Evaluator) bind(iv *instance.Interned, opts fixpoint.SolveOptions) *nlBinding {
-	workers := 1
-	if opts.Engaged(iv) {
-		workers = opts.Workers
+	if b.sub != nil {
+		n += b.sub.Bytes()
 	}
-	return e.bindings.GetOrRepair(iv,
-		func(peek func(*instance.Interned) (*nlBinding, bool)) (*nlBinding, int, bool) {
-			var found *nlBinding
-			parent, touched, ok := instance.Lineage(iv, func(a *instance.Interned) bool {
-				b, res := peek(a)
-				if res {
-					found = b
-				}
-				return res
-			})
-			if !ok {
-				return nil, 0, false
-			}
-			hops := iv.LineageDepth() - parent.LineageDepth()
-			return e.repairBinding(found, iv, touched, opts, workers), hops, true
-		},
-		func() *nlBinding { return e.buildBinding(iv, opts, workers) })
+	return n
 }
 
-// repairBinding derives iv's binding from an ancestor's along the
-// touched block set. Each stage is recomputed only when a touched
-// block's relation is in its dependency set or an upstream stage it
-// reads actually changed; untouched stages alias the parent's slices.
-func (e *Evaluator) repairBinding(parent *nlBinding, iv *instance.Interned, touched []instance.BlockRef, opts fixpoint.SolveOptions, workers int) *nlBinding {
+// Bind runs the instance-bound half of the Lemma 14 procedure for one
+// snapshot from scratch: the avoidance and terminal predicates, the
+// restricted loop-step graph, its cycle/terminal targets, reverse
+// reachability (P), and finally O via consistent pre-paths. Everything
+// is derived from iv alone, so the binding can never mix two snapshots.
+// When opts engages on iv (see fixpoint.SolveOptions), the exit-word
+// fixpoint, the Lemma 12 terminal DPs, the restricted loop-step graph,
+// and the reverse-reachability pass shard across opts.Workers (Tarjan's
+// SCC pass stays sequential); the binding is identical to the
+// single-core path's. The stages are the repair granularity of Rebind.
+func (e *Evaluator) Bind(iv *instance.Interned, opts fixpoint.SolveOptions) *Binding {
+	if e.d.Loop.IsEmpty() {
+		// Pure word (sjf or loop-free exit): O(c) = c terminal for the
+		// whole word, equivalently ¬(every repair has an accepted path
+		// from c), computed by the fixpoint sub-solver on the word.
+		b := &Binding{sub: e.whole.Bind(iv, opts)}
+		b.o = nonStarts(e.whole, iv, b.sub, opts)
+		return b
+	}
+	w := opts.WorkersFor(iv)
+	if w > 1 {
+		e.parSolves.Add(1)
+		e.parShards.Add(uint64(w))
+	}
+	b := &Binding{loopTerminal: fo.TerminalBitsetPar(iv, e.d.Loop, w)}
+	if e.exit != nil {
+		b.sub = e.exit.Bind(iv, opts)
+	}
+	b.avoid = nonStarts(e.exit, iv, b.sub, opts)
+	b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, w)
+	b.p = e.computeP(b, w)
+	b.o = e.computeOW(iv, b.p, w)
+	return b
+}
+
+// Rebind derives iv's binding from an ancestor's along touched, the
+// blocks that differ between the ancestor's snapshot and iv. Each stage
+// is recomputed only when a touched block's relation is in its
+// dependency set or an upstream stage it reads actually changed —
+// with an equality cut: a recomputed stage that comes out identical to
+// the parent's stops the downstream cascade. Untouched stages alias the
+// parent's slices.
+func (e *Evaluator) Rebind(parent *Binding, iv *instance.Interned, touched []instance.BlockRef, opts fixpoint.SolveOptions) *Binding {
 	touchExit, touchLoop, touchPre := false, false, false
 	for _, t := range touched {
 		rel := iv.Rel(t.Rel)
@@ -476,18 +438,25 @@ func (e *Evaluator) repairBinding(parent *nlBinding, iv *instance.Interned, touc
 		// binding carries over.
 		return parent
 	}
-	b := &nlBinding{}
+	if e.d.Loop.IsEmpty() {
+		b := &Binding{sub: e.whole.Rebind(parent.sub, iv, touched)}
+		b.o = nonStarts(e.whole, iv, b.sub, opts)
+		return b
+	}
+	w := opts.WorkersFor(iv)
+	b := &Binding{}
 
 	avoidChanged := false
 	if touchExit {
-		b.avoid = e.computeAvoid(iv, opts)
+		b.sub = e.exit.Rebind(parent.sub, iv, touched)
+		b.avoid = nonStarts(e.exit, iv, b.sub, opts)
 		avoidChanged = !b.avoid.Equal(parent.avoid)
 	} else {
-		b.avoid = parent.avoid
+		b.sub, b.avoid = parent.sub, parent.avoid
 	}
 
 	if touchLoop {
-		b.loopTerminal = fo.TerminalBitsetPar(iv, e.d.Loop, workers)
+		b.loopTerminal = fo.TerminalBitsetPar(iv, e.d.Loop, w)
 	} else {
 		b.loopTerminal = parent.loopTerminal
 	}
@@ -497,74 +466,38 @@ func (e *Evaluator) repairBinding(parent *nlBinding, iv *instance.Interned, touc
 		// The restricted graph reads the loop relations' blocks
 		// directly (WalkEnds), so a touched loop block forces a graph
 		// rebuild even when the terminal DP came out unchanged.
-		b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, workers)
-		b.p = e.computeP(b, workers)
+		b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, w)
+		b.p = e.computeP(b, w)
 		pChanged = !b.p.Equal(parent.p)
 	} else {
 		b.adjStart, b.adjList, b.p = parent.adjStart, parent.adjList, parent.p
 	}
 
 	if touchPre || pChanged {
-		b.o = e.computeOW(iv, b.p, workers)
+		b.o = e.computeOW(iv, b.p, w)
 	} else {
 		b.o = parent.o
 	}
 	return b
 }
 
-// computeOBits computes the predicate O as a bitset over the interned
-// constant ids of db's current snapshot.
-func (e *Evaluator) computeOBits(db *instance.Instance, opts fixpoint.SolveOptions) (bitset.Bits, *instance.Interned) {
-	iv := db.Interned()
-	if e.d.Loop.IsEmpty() {
-		// Pure word (sjf or loop-free exit): O(c) = c terminal for the
-		// whole word, equivalently ¬(every repair has an accepted path
-		// from c), computed by the fixpoint sub-solver on the word. The
-		// background context cannot fail the entry check, so the error
-		// is structurally nil.
-		res, _ := e.whole.SolveInternedCtx(context.Background(), iv, opts)
-		o := bitset.New(iv.NumConsts())
-		o.NotFrom(res.StartBits(), iv.NumConsts())
-		return o, iv
-	}
-	return e.bind(iv, opts).o, iv
-}
-
-// buildBinding runs the instance-bound half of the Lemma 14 procedure
-// for one snapshot from scratch: the avoidance and terminal predicates,
-// the restricted loop-step graph, its cycle/terminal targets, reverse
-// reachability (P), and finally O via consistent pre-paths. Everything
-// is derived from iv alone, so the memoized result can never mix two
-// snapshots. The stages are the repair granularity of repairBinding.
-func (e *Evaluator) buildBinding(iv *instance.Interned, opts fixpoint.SolveOptions, workers int) *nlBinding {
-	if workers > 1 {
-		e.parSolves.Add(1)
-		e.parShards.Add(uint64(workers))
-	}
-	b := &nlBinding{
-		avoid:        e.computeAvoid(iv, opts),
-		loopTerminal: fo.TerminalBitsetPar(iv, e.d.Loop, workers),
-	}
-	b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, workers)
-	b.p = e.computeP(b, workers)
-	b.o = e.computeOW(iv, b.p, workers)
-	return b
-}
-
-// computeAvoid computes the exit-avoidance predicate: bit d set iff
-// some repair has no path from d whose trace is in the certain language
-// of the exit word. By Corollary 1 (via the ⪯q-minimal repair of
-// Lemma 6, which minimizes start sets for all constants
-// simultaneously), this is the complement of the fixpoint relation
-// ⟨d, ε⟩ for the exit word. An empty exit cannot be avoided.
-func (e *Evaluator) computeAvoid(iv *instance.Interned, opts fixpoint.SolveOptions) bitset.Bits {
+// nonStarts is the complement, over iv's constants, of cp's fixpoint
+// start set on binding b: the constants from which some repair has no
+// path whose trace is in the certain language of cp's word. For the
+// exit word this is the avoidance predicate (by Corollary 1, via the
+// ⪯q-minimal repair of Lemma 6, which minimizes start sets for all
+// constants simultaneously). A nil cp stands for an empty exit, which
+// cannot be avoided.
+func nonStarts(cp *fixpoint.Compiled, iv *instance.Interned, b *fixpoint.Binding, opts fixpoint.SolveOptions) bitset.Bits {
 	nc := iv.NumConsts()
-	avoid := bitset.New(nc)
-	if e.exit != nil {
-		res, _ := e.exit.SolveInternedCtx(context.Background(), iv, opts)
-		avoid.NotFrom(res.StartBits(), nc)
+	out := bitset.New(nc)
+	if cp != nil {
+		// The background context cannot fail the entry check, so the
+		// error is structurally nil.
+		res, _ := cp.SolveBound(context.Background(), iv, b, opts)
+		out.NotFrom(res.StartBits(), nc)
 	}
-	return avoid
+	return out
 }
 
 // computeGraph builds the loop-step graph restricted to exit-avoiding
@@ -595,7 +528,7 @@ func (e *Evaluator) computeGraph(iv *instance.Interned, avoid bitset.Bits) (adjS
 // the loop word is self-join-free, so the Lemma 12 DP is exact) plus
 // the vertices on cycles of the restricted graph (dℓ ∈ {d0..dℓ-1});
 // P is reverse reachability from the targets.
-func (e *Evaluator) computeP(b *nlBinding, workers int) bitset.Bits {
+func (e *Evaluator) computeP(b *Binding, workers int) bitset.Bits {
 	targets := bitset.New(len(b.avoid) << 6)
 	for i := range targets {
 		targets[i] = b.avoid[i] & b.loopTerminal[i]

@@ -40,7 +40,8 @@ func TestIsCertainOptsEquivalence(t *testing.T) {
 				t.Fatalf("%s: %v", qs, err)
 			}
 			want := seqEval.IsCertain(db)
-			wantO, iv := seqEval.computeOBits(db, fixpoint.SolveOptions{})
+			iv := db.Interned()
+			wantO := seqEval.Bind(iv, fixpoint.SolveOptions{}).o
 			for _, workers := range []int{2, 8} {
 				parEval, err := NewEvaluator(q)
 				if err != nil {
@@ -50,7 +51,7 @@ func TestIsCertainOptsEquivalence(t *testing.T) {
 				if got := parEval.IsCertainOpts(db, opts); got != want {
 					t.Errorf("%s/%s workers=%d: IsCertain = %v, want %v", qs, name, workers, got, want)
 				}
-				gotO, _ := parEval.computeOBits(db, opts)
+				gotO := parEval.Bind(iv, opts).o
 				if !gotO.Equal(wantO) {
 					t.Errorf("%s/%s workers=%d: O bitsets differ", qs, name, workers)
 				}

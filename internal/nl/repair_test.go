@@ -5,8 +5,39 @@ import (
 
 	"cqa/internal/fixpoint"
 	"cqa/internal/instance"
+	"cqa/internal/memo"
 	"cqa/internal/words"
 )
+
+// memoEvaluator decides through a lineage-aware binding memo, the way
+// the plan layer's tier seam holds NL bindings: a miss repairs the
+// nearest resident ancestor's binding (Rebind) or binds cold.
+type memoEvaluator struct {
+	*Evaluator
+	memo *memo.LRU[*instance.Interned, *Binding]
+}
+
+func newMemoEvaluator(t *testing.T, q words.Word) *memoEvaluator {
+	t.Helper()
+	ev, err := NewEvaluator(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &memoEvaluator{Evaluator: ev, memo: memo.NewLRU[*instance.Interned, *Binding](16)}
+}
+
+func (m *memoEvaluator) bind(iv *instance.Interned, opts fixpoint.SolveOptions) *Binding {
+	return memo.GetLineage(m.memo, iv,
+		func(parent *Binding, touched []instance.BlockRef) (*Binding, bool) {
+			return m.Rebind(parent, iv, touched, opts), true
+		},
+		func() *Binding { return m.Bind(iv, opts) })
+}
+
+func (m *memoEvaluator) IsCertain(db *instance.Instance) bool {
+	iv := db.Interned()
+	return m.Certain(iv, m.bind(iv, fixpoint.SolveOptions{}))
+}
 
 // nlChurnInstance covers relations both inside and outside the RRX
 // decomposition's dependency sets, over a fixed universe.
@@ -26,10 +57,7 @@ func nlChurnInstance() *instance.Instance {
 
 func TestNLRepairMatchesColdBuild(t *testing.T) {
 	q := words.MustParse("RRX")
-	ev, err := NewEvaluator(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := newMemoEvaluator(t, q)
 	db := nlChurnInstance()
 	ev.IsCertain(db) // cold build for the root snapshot
 
@@ -55,17 +83,14 @@ func TestNLRepairMatchesColdBuild(t *testing.T) {
 			t.Fatalf("step %d (%v): repaired = %v, cold = %v", step, f, got, want)
 		}
 	}
-	if s := ev.BindingStats(); s.Repairs == 0 {
+	if s := ev.memo.Stats(); s.Repairs == 0 {
 		t.Errorf("stats = %+v, want repairs > 0", s)
 	}
 }
 
 func TestNLRepairSharesUntouchedBinding(t *testing.T) {
 	q := words.MustParse("RRX")
-	ev, err := NewEvaluator(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := newMemoEvaluator(t, q)
 	db := nlChurnInstance()
 	iv1 := db.Interned()
 	b1 := ev.bind(iv1, fixpoint.SolveOptions{})

@@ -17,20 +17,31 @@
 //     relations and the z-chain ladder shape), whose instance-bound CNF
 //     is then memoized per interned snapshot.
 //
-// Artifacts for non-default tiers (a forced method, or the fixpoint
+// Every tier plugs into one seam (tier.go): build an instance-bound
+// artifact for an interned snapshot, repair it from an ancestor's along
+// the snapshot lineage, decide from it, and price it. The plan owns one
+// lineage-aware memo per tier, keyed by snapshot, whose entry holds the
+// artifact and the finished decision: CERTAINTY(q) is a pure function
+// of the snapshot, so a repeat on an unchanged snapshot is one memo hit
+// that returns the stored decision.
+//
+// Tiers other than the default (a forced method, or the fixpoint
 // fallback when no certified NL decomposition exists) are compiled
-// lazily and memoized. A Plan is immutable after Compile and safe for
-// concurrent use by any number of goroutines, which is what makes the
-// cqa.Engine plan cache and its concurrent batch evaluator sound.
+// lazily. A Plan is safe for concurrent use by any number of
+// goroutines, which is what makes the cqa.Engine plan cache and its
+// concurrent batch evaluator sound; its memos are the only state that
+// changes after Compile.
 package plan
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"cqa/internal/bitset"
 	"cqa/internal/classify"
 	"cqa/internal/conp"
 	"cqa/internal/fixpoint"
@@ -110,8 +121,8 @@ func (o Options) solveOptions() fixpoint.SolveOptions {
 }
 
 // Plan is the compiled form of CERTAINTY(q) for one path query q:
-// classification plus the precomputed tier artifacts. Plans are
-// immutable and safe for concurrent use.
+// classification plus the tier slots. Plans are safe for concurrent
+// use.
 type Plan struct {
 	word   words.Word
 	report classify.Report
@@ -121,32 +132,51 @@ type Plan struct {
 	// is FO.
 	foFormula fo.Formula
 
-	// nlEval is the compiled NL evaluator; nlErr records why it is
-	// unavailable (not C2, or no certified decomposition → fixpoint
-	// fallback). Lazily built unless NL is the default tier. nlNote is
-	// the decomposition rendered once at compile time — the NL tier's
-	// per-call work is interned and allocation-light, so rebuilding the
-	// diagnostic string per Execute would dominate it.
-	nlOnce  sync.Once
-	nlBuilt atomic.Bool
-	nlEval  *nl.Evaluator
-	nlErr   error
-	nlNote  string
+	// tiers holds one slot per tier of tierMethods, built on first use.
+	tiers [len(tierMethods)]slot
+}
 
-	// fp is the compiled Figure 5 machinery, shared by the PTIME tier,
-	// the NL fallback, and forced ptime-fixpoint runs. Lazily built
-	// unless it is the default tier.
-	fpOnce  sync.Once
-	fpBuilt atomic.Bool
-	fp      *fixpoint.Compiled
+// tierMethods are the tiers behind the seam, in slot order.
+var tierMethods = [...]Method{MethodFO, MethodNL, MethodFixpoint, MethodSAT}
 
-	// satC is the compiled SAT tier: the query-side clause skeleton plus
-	// the per-snapshot CNF memo. Lazily built unless SAT is the default
-	// tier (it also serves WantCounterexample requests from tiers that
-	// produce no counterexample of their own).
-	satOnce  sync.Once
-	satBuilt atomic.Bool
-	satC     *conp.Compiled
+// slot is one tier of a plan, built at most once: the tier's
+// query-side compile and its per-snapshot memo. built flips after the
+// build, so the stats loops read run without joining a build in
+// flight.
+type slot struct {
+	once  sync.Once
+	built atomic.Bool
+	run   runner // nil when the tier cannot serve q (NL without a certified decomposition)
+	// note and err are the NL slot's: the rendered decomposition, or
+	// the fallback note and why no decomposition was certified.
+	note string
+	err  error
+}
+
+// tier returns the slot of tier m (one of tierMethods), building it on
+// first use.
+func (p *Plan) tier(m Method) *slot {
+	s := &p.tiers[slices.Index(tierMethods[:], m)]
+	s.once.Do(func() {
+		switch m {
+		case MethodFO:
+			s.run = newTier[bitset.Bits](foTier{p.word}, maxTierBytes)
+		case MethodNL:
+			ev, err := nl.NewEvaluator(p.word)
+			if err != nil {
+				s.err, s.note = err, "nl fallback: "+err.Error()
+				break
+			}
+			s.note = ev.Decomposition().String()
+			s.run = newTier[*nl.Binding](nlTier{ev, s.note}, maxTierBytes)
+		case MethodFixpoint:
+			s.run = newTier[*fixpoint.Binding](fpTier{fixpoint.Compile(p.word)}, maxTierBytes)
+		case MethodSAT:
+			s.run = newTier[*conp.Encoding](satTier{conp.Compile(p.word)}, maxSATBytes)
+		}
+		s.built.Store(true)
+	})
+	return s
 }
 
 // Compile classifies q and precomputes the artifacts of its default
@@ -159,18 +189,14 @@ func Compile(w words.Word) *Plan {
 		p.foFormula = fo.RewriteCertain(p.word)
 	case classify.NL:
 		p.method = MethodNL
-		if _, err := p.evaluator(); err != nil {
-			// No certified decomposition: the plan's real tier is the
-			// fixpoint fallback, so compile it now.
-			p.fixpoint()
-		}
 	case classify.PTime:
 		p.method = MethodFixpoint
-		p.fixpoint()
 	default:
 		p.method = MethodSAT
-		p.conp()
 	}
+	// Method resolves the NL tier, and its fixpoint fallback when no
+	// certified decomposition exists.
+	p.tier(p.Method())
 	return p
 }
 
@@ -189,10 +215,8 @@ func (p *Plan) Report() classify.Report { return p.report }
 // fixpoint fallback, matching the Method field of the Results the plan
 // produces.
 func (p *Plan) Method() Method {
-	if p.method == MethodNL {
-		if _, err := p.evaluator(); err != nil {
-			return MethodFixpoint
-		}
+	if p.method == MethodNL && p.tier(MethodNL).err != nil {
+		return MethodFixpoint
 	}
 	return p.method
 }
@@ -210,62 +234,32 @@ func (p *Plan) Rewriting() (string, bool) {
 // diagnostic string; ok is false when the plan has none (wrong class,
 // or fixpoint fallback).
 func (p *Plan) Decomposition() (string, bool) {
-	eval, err := p.evaluator()
-	if err != nil {
-		return "", false
+	if s := p.tier(MethodNL); s.err == nil {
+		return s.note, true
 	}
-	return eval.Decomposition().String(), true
+	return "", false
 }
 
-// evaluator memoizes the compiled NL evaluator.
-func (p *Plan) evaluator() (*nl.Evaluator, error) {
-	p.nlOnce.Do(func() {
-		p.nlEval, p.nlErr = nl.NewEvaluator(p.word)
-		if p.nlErr == nil {
-			p.nlNote = p.nlEval.Decomposition().String()
+// builtTiers calls f on every tier the plan has built so far. Tiers not
+// yet compiled (lazily built fallbacks) are skipped; the atomic built
+// flags make this safe concurrently with evaluation.
+func (p *Plan) builtTiers(f func(runner)) {
+	for i := range p.tiers {
+		if s := &p.tiers[i]; s.built.Load() && s.run != nil {
+			f(s.run)
 		}
-		p.nlBuilt.Store(true)
-	})
-	return p.nlEval, p.nlErr
+	}
 }
 
-// fixpoint memoizes the compiled Figure 5 machinery.
-func (p *Plan) fixpoint() *fixpoint.Compiled {
-	p.fpOnce.Do(func() {
-		p.fp = fixpoint.Compile(p.word)
-		p.fpBuilt.Store(true)
-	})
-	return p.fp
-}
-
-// conp memoizes the compiled SAT tier.
-func (p *Plan) conp() *conp.Compiled {
-	p.satOnce.Do(func() {
-		p.satC = conp.Compile(p.word)
-		p.satBuilt.Store(true)
-	})
-	return p.satC
-}
-
-// MemoStats aggregates the hit/miss counters of the per-snapshot memos
-// behind every tier the plan has built so far: the fixpoint binding
-// memo, the NL artifact memos, and the conp encoding memo. Misses count
-// instance-bound artifact builds, Hits decisions served warm from a
-// resident snapshot entry — the quantity the engine's snapshot-affine
-// batch shards exist to maximize. Tiers not yet compiled (lazily built
-// fallbacks) contribute nothing; the atomic built flags make this safe
-// to call concurrently with evaluation.
-func (p *Plan) MemoStats() memo.Stats {
-	var s memo.Stats
-	if p.nlBuilt.Load() && p.nlErr == nil {
-		s = s.Add(p.nlEval.BindingStats())
-	}
-	if p.fpBuilt.Load() {
-		s = s.Add(p.fp.BindingStats())
-	}
-	if p.satBuilt.Load() {
-		s = s.Add(p.satC.EncodingStats())
-	}
+// MemoStats aggregates the counters of the per-snapshot memos of every
+// tier the plan has built so far. Misses count instance-bound artifact
+// builds (cold or lineage repairs), Hits decisions on a resident
+// snapshot entry — served from its stored decision, or decided afresh
+// on its artifact when no decision is stored (a counterexample request,
+// a retry after a cancellation or a panic) — the quantity the engine's
+// snapshot-affine batch shards exist to maximize.
+func (p *Plan) MemoStats() (s memo.Stats) {
+	p.builtTiers(func(r runner) { s = s.Add(r.stats()) })
 	return s
 }
 
@@ -278,36 +272,21 @@ type ParallelStats = fixpoint.ParallelStats
 // worklist, and NL artifact builds that ran the sharded Lemma 14
 // stages. Zero everywhere means every decision took the single-core
 // path — either below the threshold or with parallelism off.
-func (p *Plan) ParallelStats() ParallelStats {
-	var s ParallelStats
-	if p.nlBuilt.Load() && p.nlErr == nil {
-		s = s.Add(p.nlEval.ParallelStats())
-	}
-	if p.fpBuilt.Load() {
-		s = s.Add(p.fp.ParallelStats())
-	}
+func (p *Plan) ParallelStats() (s ParallelStats) {
+	p.builtTiers(func(r runner) { s = s.Add(r.parallel()) })
 	return s
 }
 
 // SetMemoScale sets every built tier's per-snapshot memo to scale ×
 // its compile-time default byte budget — the engine fans the serving
 // layer's soft-memory watermark out through this. Shrinking evicts LRU
-// artifacts so decisions degrade to cold builds instead of growing the
+// entries so decisions degrade to cold builds instead of growing the
 // heap; scale >= 1 restores the defaults. Tiers compiled lazily after
 // this call start at their defaults (the engine re-applies its current
-// scale when it compiles a plan). The memo budgets are the one piece
-// of plan state that is mutable after Compile; the memos serialize the
-// adjustment internally, so this is safe concurrently with evaluation.
+// scale when it compiles a plan). The memos serialize the adjustment
+// internally, so this is safe concurrently with evaluation.
 func (p *Plan) SetMemoScale(scale float64) {
-	if p.nlBuilt.Load() && p.nlErr == nil {
-		p.nlEval.SetMemoScale(scale)
-	}
-	if p.fpBuilt.Load() {
-		p.fp.SetMemoScale(scale)
-	}
-	if p.satBuilt.Load() {
-		p.satC.SetMemoScale(scale)
-	}
+	p.builtTiers(func(r runner) { r.setScale(scale) })
 }
 
 // Certain decides CERTAINTY(q) on db with automatic tier dispatch.
@@ -334,10 +313,9 @@ func (p *Plan) Execute(db *instance.Instance, opts Options) (Result, error) {
 // canceling the context releases a caller stuck in a hard coNP
 // decision or a giant-instance solve. The remaining interned-tier
 // decisions run in micro-seconds and are not interrupted mid-solve.
-// On cancellation the
-// context's error is returned and the result carries no decision; the
-// compiled artifacts and memoized solver state survive, so a retry
-// resumes warm.
+// On cancellation the context's error is returned and the result
+// carries no decision; the memoized artifacts survive and no decision
+// is stored, so a retry resumes warm and decides.
 func (p *Plan) ExecuteCtx(ctx context.Context, db *instance.Instance, opts Options) (Result, error) {
 	res := Result{Class: p.report.Class}
 	if ctx == nil {
@@ -353,76 +331,40 @@ func (p *Plan) ExecuteCtx(ctx context.Context, db *instance.Instance, opts Optio
 	} else if !sound(method, p.report.Class) {
 		return res, fmt.Errorf("%w: %s for %v query %v", ErrUnsoundMethod, method, p.report.Class, p.word)
 	}
-
-	switch method {
-	case MethodFO:
-		res.Method = MethodFO
-		res.Certain = fo.IsCertainFO(db, p.word)
-	case MethodNL:
-		eval, err := p.evaluator()
-		if err != nil {
-			// Certified decomposition unavailable: fall back to the
-			// fixpoint tier (correct for all C3 ⊇ C2 queries).
-			fp, serr := p.fixpoint().SolveInternedCtx(ctx, db.Interned(), opts.solveOptions())
-			if serr != nil {
-				return res, serr
-			}
-			res.Method = MethodFixpoint
-			res.Certain = fp.Certain
-			res.Note = "nl fallback: " + err.Error()
-			if fp.Certain && len(fp.Starts) > 0 {
-				res.Witness = fp.Starts[0]
-			}
-			break
-		}
-		res.Method = MethodNL
-		res.Certain = eval.IsCertainOpts(db, opts.solveOptions())
-		res.Note = p.nlNote
-	case MethodFixpoint:
-		fp, serr := p.fixpoint().SolveInternedCtx(ctx, db.Interned(), opts.solveOptions())
-		if serr != nil {
-			return res, serr
-		}
-		res.Method = MethodFixpoint
-		res.Certain = fp.Certain
-		if fp.Certain && len(fp.Starts) > 0 {
-			res.Witness = fp.Starts[0]
-		} else if !fp.Certain && opts.WantCounterexample {
-			// The Lemma 10 minimal repair is built on request only: it
-			// re-materializes a string-keyed instance, which would
-			// dominate the interned solver on serving paths.
-			res.Counterexample = fixpoint.CounterexampleRepair(db, p.word, fp)
-		}
-	case MethodSAT:
-		out, err := p.conp().IsCertainCtx(ctx, db)
-		if err != nil {
-			return res, err
-		}
-		res.Method = MethodSAT
-		res.Certain = out.Certain
-		if opts.WantCounterexample {
-			// The repair is already decoded to interned ids; only the
-			// string-keyed materialization is on demand.
-			res.Counterexample = out.Counterexample()
-		}
-	case MethodExhaustive:
+	if method == MethodExhaustive {
 		res.Method = MethodExhaustive
 		res.Certain = repairs.IsCertain(db, p.word)
 		if !res.Certain {
 			res.Counterexample = repairs.Counterexample(db, p.word)
 		}
-	default:
-		return res, fmt.Errorf("cqa: unknown method %q", method)
+		return res, nil
+	}
+	note := ""
+	if method == MethodNL {
+		if s := p.tier(MethodNL); s.err != nil {
+			// Certified decomposition unavailable: fall back to the
+			// fixpoint tier (correct for all C3 ⊇ C2 queries).
+			method, note = MethodFixpoint, s.note
+		}
 	}
 
-	if opts.WantCounterexample && !res.Certain && res.Counterexample == nil {
-		out, err := p.conp().IsCertainCtx(ctx, db)
+	iv := db.Interned()
+	out, err := p.tier(method).run.run(ctx, iv, opts)
+	if err != nil {
+		return res, err
+	}
+	out.Class = res.Class
+	if note != "" {
+		out.Note = note
+	}
+	if opts.WantCounterexample && !out.Certain && out.Counterexample == nil {
+		sat, err := p.tier(MethodSAT).run.run(ctx, iv, opts)
 		if err != nil {
 			return res, err
 		}
-		res.Counterexample = out.Counterexample()
+		out.Counterexample = sat.Counterexample
 	}
-	return res, nil
+	return out, nil
 }
 
 // sound reports whether a tier decides queries of the given class.

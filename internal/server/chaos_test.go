@@ -22,6 +22,21 @@ import (
 // exactly.
 var poolFacts = []string{"R(a,f)", "A(c,g)", "X(e,b)", "Y(g,d)"}
 
+// poolToggle is the body of the i-th chaos mutation: it adds pool fact
+// i mod |pool| on the first pass over the pool and removes it on the
+// second. No step undoes its predecessor, so (faults aside) every step
+// publishes a snapshot no memo has seen and each word's next decision
+// on it runs its tier — the coNP word's the SAT solver — instead of a
+// stored decision.
+func poolToggle(i int) string {
+	op := "add"
+	if i/len(poolFacts)%2 == 1 {
+		op = "remove"
+	}
+	body, _ := json.Marshal(map[string][]string{op: {poolFacts[i%len(poolFacts)]}})
+	return string(body)
+}
+
 // chaosTally is what the soak's clients observe, aggregated across
 // goroutines.
 type chaosTally struct {
@@ -70,11 +85,12 @@ func (c *chaosTally) tallyResponse(r queryResponse, want map[string]bool, checke
 // TestChaosSoak drives the daemon through every failpoint at once —
 // injected faults in snapshot publish, memo build/repair, SAT solve,
 // router handoff, and response writes — interleaved with mutations,
-// per-line deadlines, and more clients than the lanes can hold, under
-// the race detector. It asserts the daemon never crashes or wedges,
-// every non-errored decision matches an in-process reference, and the
-// recovered-panic counters reconcile exactly with the injected fault
-// counts.
+// register/drop churn, per-line deadlines, and more clients than the
+// lanes can hold, under the race detector. It asserts the daemon never
+// crashes or wedges, every non-errored decision matches an in-process
+// reference, the recovered-panic counters reconcile exactly with the
+// injected fault counts, and dropped instances leave no router
+// assignment behind.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
@@ -240,15 +256,14 @@ func TestChaosSoak(t *testing.T) {
 		}(g)
 	}
 
-	// Mutators: toggle the pool facts on their own instances, querying
-	// them between toggles (decisions unchecked — the state is in
-	// flux — but every request must still be answered, not wedged).
+	// Mutators: toggle the pool facts on their own instances one at a
+	// time (poolToggle), querying them between toggles (decisions
+	// unchecked — the state is in flux — but every request must still
+	// be answered, not wedged).
 	for _, name := range mutated {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			addBody, _ := json.Marshal(map[string][]string{"add": poolFacts})
-			rmBody, _ := json.Marshal(map[string][]string{"remove": poolFacts})
 			queryBody := strings.Join(serveWords, "\n") + "\n"
 			for i := 0; ; i++ {
 				select {
@@ -256,11 +271,7 @@ func TestChaosSoak(t *testing.T) {
 					return
 				default:
 				}
-				body := addBody
-				if i%2 == 1 {
-					body = rmBody
-				}
-				post(base+"/instances/"+name+"/mutate", string(body))
+				post(base+"/instances/"+name+"/mutate", poolToggle(i))
 				if code, out, ok := post(base+"/instances/"+name+"/batch", queryBody); ok && code == http.StatusOK {
 					resps, _ := decodeNDJSON(out)
 					for _, r := range resps {
@@ -270,6 +281,37 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}(name)
 	}
+
+	// Register/drop churn: fresh instances of the base facts, each
+	// registered, queried (checked), and dropped again.
+	var churned atomic.Uint64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		queryBody := strings.Join(serveWords, "\n") + "\n"
+		client := &http.Client{}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := fmt.Sprintf("churn%d", i)
+			post(base+"/instances/"+name, serveFacts())
+			if code, out, ok := post(base+"/instances/"+name+"/batch", queryBody); ok && code == http.StatusOK {
+				resps, _ := decodeNDJSON(out)
+				for _, r := range resps {
+					tally.tallyResponse(r, want, true)
+				}
+			}
+			req, _ := http.NewRequest(http.MethodDelete, base+"/instances/"+name, nil)
+			if resp, err := client.Do(req); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			churned.Add(1)
+		}
+	}()
 
 	time.Sleep(1500 * time.Millisecond)
 	close(stop)
@@ -335,6 +377,29 @@ func TestChaosSoak(t *testing.T) {
 	// middleware. Any imbalance means a panic escaped (crash), was
 	// double-counted, or a genuine (non-injected) panic occurred.
 	m := scrapeMetrics(t, base)
+
+	// Register/drop churn left nothing behind: the router assigns only
+	// live instances, and the per-worker placement counts match.
+	live := make(map[string]bool)
+	for _, info := range m.Instances {
+		live[info.Name] = true
+	}
+	var placed int64
+	for _, w := range m.Router.Workers {
+		placed += w.Instances
+	}
+	for name := range m.Router.Assignments {
+		if !live[name] {
+			t.Errorf("router still assigns dropped instance %s", name)
+		}
+	}
+	if placed != int64(len(m.Router.Assignments)) {
+		t.Errorf("workers hold %d placements for %d assignments", placed, len(m.Router.Assignments))
+	}
+	if churned.Load() == 0 {
+		t.Error("register/drop churn ran no cycle")
+	}
+
 	recovered := m.Engine.Panics + m.Router.Panics + m.HandlerPanics
 	injected := fired[faultinject.SnapshotPublish] + fired[faultinject.MemoBuild] + fired[faultinject.SATSolve]
 	if recovered != injected {

@@ -9,9 +9,9 @@
 // affinity resets, and two concurrent connections touching the same
 // instance race each other into the per-snapshot tier memos. The
 // router's instance→worker assignment is created on first touch
-// (least-assigned worker wins) and then never moves, so every
-// operation on a named instance — query, batch chunk, mutation —
-// executes on the same goroutine end-to-end: decisions against one
+// (least-assigned worker wins) and then never moves until the instance
+// is dropped, so every operation on a named instance — query, batch
+// chunk, mutation — executes on the same goroutine end-to-end: decisions against one
 // snapshot run consecutively (warm memo hits), a mutation is followed
 // on the same worker by the lineage repair of its own memo entry, and
 // the per-worker queues give the daemon bounded admission instead of
@@ -162,8 +162,9 @@ func NewRouter(n, queueDepth, heavyWorkers, heavyQueueDepth int) *Router {
 
 // WorkerFor returns the sticky worker index for the named instance,
 // assigning the least-loaded worker on first touch. The assignment
-// never changes for the lifetime of the router — that stability is the
-// cross-request memo-affinity contract `cqa serve` is built on.
+// never changes until the name is forgotten (Forget, on drop) — that
+// stability is the cross-request memo-affinity contract `cqa serve` is
+// built on.
 func (r *Router) WorkerFor(name string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -179,6 +180,22 @@ func (r *Router) WorkerFor(name string) int {
 	r.workers[best].assigned.Add(1)
 	r.assign[name] = best
 	return best
+}
+
+// Forget releases the named instance's sticky assignment; the server
+// calls it when the instance is dropped, so register/drop churn
+// neither skews least-assigned placement nor grows the assignment
+// table. A later touch of the name assigns it afresh. Tasks already
+// queued for the name still run on the old worker; the registry's
+// per-instance locks keep them safe if the name is re-registered
+// meanwhile.
+func (r *Router) Forget(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if id, ok := r.assign[name]; ok {
+		delete(r.assign, name)
+		r.workers[id].assigned.Add(-1)
+	}
 }
 
 // Do runs fn on the named instance's resident fast-lane worker and

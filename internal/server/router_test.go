@@ -30,6 +30,35 @@ func TestRouterStickyAndBalanced(t *testing.T) {
 	}
 }
 
+// TestRouterForgetReleasesAssignment: forgetting a name releases its
+// worker slot, so register/drop churn leaves no assignment behind and
+// least-assigned placement reuses the freed worker.
+func TestRouterForgetReleasesAssignment(t *testing.T) {
+	r := NewRouter(2, 0, 0, 0)
+	defer r.Drain()
+	a, b := r.WorkerFor("a"), r.WorkerFor("b")
+	if a == b {
+		t.Fatalf("a and b share worker %d, want least-assigned placement", a)
+	}
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("churn%d", i)
+		if w := r.WorkerFor(name); w != 0 {
+			t.Fatalf("%s placed on worker %d, want the freed worker 0", name, w)
+		}
+		r.Forget(name)
+	}
+	r.Forget("never-assigned")
+	s := r.Stats()
+	if got := s.names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("assignments after churn = %v, want [a b]", got)
+	}
+	for i, ws := range s.Workers {
+		if ws.Instances != 1 {
+			t.Fatalf("worker %d holds %d instances after churn, want 1", i, ws.Instances)
+		}
+	}
+}
+
 // TestRouterSerializesPerInstance checks the affinity contract: tasks
 // for one instance run in submission order with no overlap, even when
 // submitted from many goroutines (run with -race).

@@ -367,6 +367,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("%w: %q", cqa.ErrInstanceNotFound, name))
 		return
 	}
+	s.router.Forget(name)
 	writeJSON(w, map[string]string{"dropped": name})
 }
 

@@ -8,9 +8,12 @@
 // (query, instance) pairs per op — "served" streams them as NDJSON
 // batches over one connection per instance through the persistent shard
 // router, "inprocess" hands them to the engine's sharded batch
-// scheduler directly. The benchgate ratio gate serve-vs-batch bounds
-// served/inprocess at 1.5x, keeping the transport + router overhead a
-// hardware-independent invariant.
+// scheduler directly. Every decision in the timed rounds is a warm
+// stored-decision hit, so the in-process side is nearly all engine
+// front end and the quotient is dominated by the HTTP + NDJSON + router
+// cost. The benchgate ratio gate serve-vs-batch bounds served/inprocess
+// at 16x (the measured quotient plus 25% headroom), keeping that
+// overhead a hardware-independent invariant.
 package cqa_test
 
 import (

@@ -10,8 +10,8 @@ import (
 // Stats is the engine's unified counter snapshot: one tree covering the
 // plan cache and batch scheduler (Plans) and the per-snapshot artifact
 // memos of every tier behind every cached plan (Memo). It replaces the
-// former ad-hoc surfaces (Engine.CacheStats, plan.MemoStats, the
-// per-tier BindingStats/EncodingStats), which now only feed it.
+// former ad-hoc surfaces (Engine.CacheStats, the per-tier memo
+// counters); plan.MemoStats now only feeds it.
 // Engine.Stats takes the snapshot; Registry.Stats and the serve
 // daemon's /metrics endpoint extend the same tree with instance and
 // router counters. The struct is JSON-serializable as written — the
@@ -21,7 +21,7 @@ type Stats struct {
 	Memo  MemoStats `json:"memo"`
 	// Parallel counts decisions that engaged the partitioned
 	// fixpoint/NL solver (see EngineConfig.SolveWorkers): Solves is the
-	// number of solves or memoized NL builds that took the sharded
+	// number of solves or NL binding builds that took the sharded
 	// path, Shards the total constant-range shards they dispatched.
 	// Zero everywhere means every decision ran single-core.
 	Parallel ParallelStats `json:"parallel"`
@@ -52,13 +52,15 @@ type PlanStats struct {
 	Shards uint64 `json:"shards"`
 }
 
-// MemoStats aggregate the per-snapshot artifact memos behind every plan
-// still cached: the fixpoint binding memo, the NL artifact memos, and
-// the coNP encoding memo. Plans evicted from the plan cache no longer
+// MemoStats aggregate the per-snapshot memos behind every plan still
+// cached, one per built tier (FO start sets, NL artifacts, fixpoint
+// bindings, coNP encodings), each entry holding the artifact and the
+// stored decision. Plans evicted from the plan cache no longer
 // contribute.
 type MemoStats struct {
-	// Hits are decisions served warm from a resident snapshot entry —
-	// the quantity snapshot-affine routing exists to maximize.
+	// Hits are decisions on a resident snapshot entry, nearly all
+	// served from its stored decision — the quantity snapshot-affine
+	// routing exists to maximize.
 	Hits uint64 `json:"hits"`
 	// Misses are instance-bound artifact builds.
 	Misses uint64 `json:"misses"`
