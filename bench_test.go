@@ -1,12 +1,12 @@
 package cqa
 
-// Benchmark harness (experiment E14 of DESIGN.md): wall-clock scaling of
-// the four solver tiers against instance size and query class, the
-// classification procedure against query length, and the hardness
-// reductions at scale. The paper has no empirical evaluation; these
-// benches substantiate its complexity-theoretic shape claims — the FO
-// and fixpoint tiers scale near-linearly in |db|, the SAT tier pays for
-// generality, and classification is polynomial in |q|.
+// Benchmark harness: wall-clock scaling of the four solver tiers
+// against instance size and query class, the classification procedure
+// against query length, and the hardness reductions at scale. The paper
+// has no empirical evaluation; these benches substantiate its
+// complexity-theoretic shape claims — the FO and fixpoint tiers scale
+// near-linearly in |db|, the SAT tier pays for generality, and
+// classification is polynomial in |q|.
 
 import (
 	"context"
@@ -115,7 +115,7 @@ func BenchmarkTierFixpoint(b *testing.B) {
 		db := benchInstance(size)
 		b.Run(fmt.Sprintf("facts=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fixpoint.Solve(db, q)
+				fixpoint.Compile(q).Solve(db)
 			}
 		})
 	}
@@ -194,7 +194,7 @@ func BenchmarkTierCrossover(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("fixpoint-on-nl-query/facts=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fixpoint.Solve(db, q)
+				fixpoint.Compile(q).Solve(db)
 			}
 		})
 	}
@@ -313,11 +313,10 @@ func BenchmarkCertainBatch(b *testing.B) {
 }
 
 // skewedBatchRequests is the serving mix for the sharded-scheduler
-// benchmark (experiment E17): two hot query words whose requests cycle
-// over 48 shared 300-fact instances — scattered in input order, and 48
-// snapshots overflow the 16-entry per-plan binding memos, so the
-// per-request scheduler rebuilds instance-bound artifacts over and over
-// while snapshot-affine shards build each exactly once — plus 16
+// benchmark: two hot query words whose requests cycle over 48 shared
+// 300-fact instances — scattered in input order, and 48 snapshots
+// overflow the 16-entry per-plan tier memos, so only snapshot-affine
+// shards build each instance-bound artifact exactly once — plus 16
 // distinct cold NL words (one request each) whose certification-heavy
 // compilation the sharded pre-pass keeps off the evaluation workers.
 func skewedBatchRequests() []Request {
@@ -350,31 +349,21 @@ func skewedBatchRequests() []Request {
 }
 
 // BenchmarkCertainBatchSharded measures the two-phase sharded batch
-// scheduler against the pre-sharding per-request scheduler
-// (BatchShardSize < 0) on the skewed mix above. A fresh engine per
-// iteration replays the cold-word compilations and the per-plan memo
-// churn every op, matching a serving tier picking up a new workload.
-// The benchgate ratio gate batch-sharded-vs-unsharded enforces the
-// sharded win (≤ 0.67, i.e. ≥ 1.5x).
+// scheduler on the skewed mix above. A fresh engine per iteration
+// replays the cold-word compilations and the per-plan memo churn every
+// op, matching a serving tier picking up a new workload. benchgate
+// gates the sharded arm's absolute ns/op.
 func BenchmarkCertainBatchSharded(b *testing.B) {
 	reqs := skewedBatchRequests()
-	for _, cfg := range []struct {
-		name      string
-		shardSize int
-	}{
-		{"sharded", 0},
-		{"unsharded", -1},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := NewEngine(EngineConfig{BatchShardSize: cfg.shardSize})
-				res := eng.CertainBatch(context.Background(), reqs)
-				if res[0].Err != nil {
-					b.Fatal(res[0].Err)
-				}
+	b.Run("sharded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := NewEngine(EngineConfig{})
+			res := eng.CertainBatch(context.Background(), reqs)
+			if res[0].Err != nil {
+				b.Fatal(res[0].Err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // mutationFacts picks the facts BenchmarkWarmAfterMutation toggles:
@@ -415,8 +404,8 @@ const reroot = 200
 // 16 resident snapshots, so each is evicted before its next turn.
 const coldRing = 24
 
-// BenchmarkWarmAfterMutation (experiment E18): the serving regime where
-// instances churn between decisions, per tier, in three arms.
+// BenchmarkWarmAfterMutation: the serving regime where instances churn
+// between decisions, per tier, in three arms.
 //   - "unchanged" repeats a decision on one snapshot: a memo hit that
 //     returns the stored decision.
 //   - "mutated" toggles one in-universe fact per iteration, cycling
@@ -513,7 +502,7 @@ func BenchmarkReductionReach(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("vertices=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fixpoint.Solve(db, q)
+				fixpoint.Compile(q).Solve(db)
 			}
 		})
 	}
@@ -562,7 +551,7 @@ func BenchmarkReductionMCVP(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("gates=%d", gates), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fixpoint.Solve(db, q)
+				fixpoint.Compile(q).Solve(db)
 			}
 		})
 	}
@@ -574,7 +563,7 @@ func BenchmarkFixpointRRX(b *testing.B) {
 		db := workload.Figure2Family(n)
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fixpoint.Solve(db, words.MustParse("RRX"))
+				fixpoint.Compile(words.MustParse("RRX")).Solve(db)
 			}
 		})
 	}

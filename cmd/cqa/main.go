@@ -10,8 +10,9 @@
 //	cqa solve -q <query> (-db <file.csv> | -facts "R(a,b) ...") [-method M] [-cex]
 //	cqa plan -q <query>
 //	cqa batch [-file reqs.txt] [-workers N] [-format lines|ndjson|csv]
-//	          [-max-line BYTES] [-shard-size N] [-compile-workers N] [-stats]
-//	cqa serve [-addr HOST:PORT] [-workers N] [-shard-size N] [-compile-workers N]
+//	          [-max-line BYTES] [-shard-size N] [-compile-workers N]
+//	          [-solve-workers N] [-parallel-threshold N] [-stats]
+//	cqa serve [-addr HOST:PORT] [-solve-workers N] [-parallel-threshold N]
 //	          [-router-workers N] [-queue-depth N] [-window N]
 //	cqa rewrite -q <query>
 //	cqa language -q <query> [-max N]
@@ -94,8 +95,7 @@ func usage() {
                                    streams one-line-JSON results; csv reads
                                    id,query,rel,key,val fact rows grouped
                                    by request id
-  cqa serve [-addr A] [-workers N] [-shard-size N] [-compile-workers N]
-            [-solve-workers N] [-parallel-threshold N]
+  cqa serve [-addr A] [-solve-workers N] [-parallel-threshold N]
             [-router-workers N] [-queue-depth N] [-window N]
                                    resident HTTP/NDJSON daemon over named
                                    instances (see docs/serving.md)
@@ -226,13 +226,19 @@ func cmdPlan(args []string) error {
 func cmdBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	file := fs.String("file", "", "request file (default: stdin)")
-	newEngine := engineFlags(fs)
+	engineConfig := engineFlags(fs)
+	workers := fs.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
+	shardSize := fs.Int("shard-size", 0, fmt.Sprintf("requests per batch shard (default %d)", cqa.DefaultBatchShardSize))
+	compileWorkers := fs.Int("compile-workers", 0, "concurrent plan compilations in the batch pre-pass (default: workers)")
 	format := fs.String("format", "lines", `request format: "lines", "ndjson" or "csv"`)
 	maxLine := fs.Int("max-line", defaultMaxLine, "maximum request line length in bytes")
 	showStats := fs.Bool("stats", false, "print the engine's full Stats snapshot (plan cache, memo hits/repairs/cold builds) after the summary")
 	fs.Parse(args)
 	if *maxLine <= 0 {
 		return fmt.Errorf("-max-line must be positive, got %d", *maxLine)
+	}
+	if *shardSize < 0 {
+		return fmt.Errorf("-shard-size must not be negative, got %d", *shardSize)
 	}
 
 	var r io.Reader = os.Stdin
@@ -244,7 +250,9 @@ func cmdBatch(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	eng := newEngine()
+	cfg := engineConfig()
+	cfg.Workers, cfg.BatchShardSize, cfg.CompileWorkers = *workers, *shardSize, *compileWorkers
+	eng := cqa.NewEngine(cfg)
 	lr := newLineReader(r, *maxLine)
 
 	run := batchLines
@@ -269,25 +277,20 @@ func cmdBatch(args []string) error {
 	return nil
 }
 
-// engineFlags registers the engine-tuning flags on fs and returns the
-// constructor that realizes them. Every subcommand that evaluates
-// queries (batch, serve) builds its Engine through this one function,
-// so the flag wiring cannot silently diverge between subcommands or
-// input formats.
-func engineFlags(fs *flag.FlagSet) func() *cqa.Engine {
-	workers := fs.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
-	shardSize := fs.Int("shard-size", 0, "requests per batch shard (default: engine default; <0 disables sharding)")
-	compileWorkers := fs.Int("compile-workers", 0, "concurrent plan compilations in the batch pre-pass (default: workers)")
+// engineFlags registers the flags that tune every decision —
+// intra-query parallelism on giant instances — and returns the
+// EngineConfig they set. Both subcommands that evaluate queries (batch,
+// serve) build their Engine from it, so these flags cannot diverge
+// between deployment shapes; batch adds the CertainBatch pool sizes,
+// which the daemon never uses.
+func engineFlags(fs *flag.FlagSet) func() cqa.EngineConfig {
 	solveWorkers := fs.Int("solve-workers", 0, "intra-query workers for partitioned solves on giant instances (default: GOMAXPROCS; 1 disables)")
 	parallelThreshold := fs.Int("parallel-threshold", 0, "fact count at which a solve engages -solve-workers (default: engine default; <0 forces)")
-	return func() *cqa.Engine {
-		return cqa.NewEngine(cqa.EngineConfig{
-			Workers:           *workers,
-			CompileWorkers:    *compileWorkers,
-			BatchShardSize:    *shardSize,
+	return func() cqa.EngineConfig {
+		return cqa.EngineConfig{
 			SolveWorkers:      *solveWorkers,
 			ParallelThreshold: *parallelThreshold,
-		})
+		}
 	}
 }
 

@@ -142,6 +142,16 @@ func TestBatchLinesMaxLine(t *testing.T) {
 	}
 }
 
+// TestBatchRejectsBadSizeFlags: cqa batch rejects an out-of-range size
+// flag with an error naming the flag, before reading any request.
+func TestBatchRejectsBadSizeFlags(t *testing.T) {
+	for _, args := range [][]string{{"-max-line", "0"}, {"-shard-size", "-1"}} {
+		if err := cmdBatch(args); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("cqa batch %s: got %v, want an error naming %s", strings.Join(args, " "), err, args[0])
+		}
+	}
+}
+
 func ndjsonResponses(t *testing.T, out string) []batchResponse {
 	t.Helper()
 	var resps []batchResponse

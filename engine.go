@@ -45,10 +45,7 @@
 // snapshot) pair builds its binding, CNF, or NL artifacts exactly once
 // per batch instead of racing — or, past the memo's LRU bound,
 // thrashing — across scattered workers. Results are returned in request
-// order regardless of shard order. BatchShardSize < 0 disables sharding
-// and restores the legacy per-request scheduler, kept for A/B
-// comparison (BenchmarkCertainBatchSharded gates the sharded scheduler
-// against it).
+// order regardless of shard order.
 //
 // Compiling a plan runs the Theorem 3 classification once and
 // precomputes the dispatched tier's machinery — the Lemma 13 FO
@@ -139,10 +136,7 @@ type EngineConfig struct {
 	// BatchShardSize caps how many requests one CertainBatch shard
 	// carries. Larger shards maximize snapshot affinity and minimize
 	// dispatch overhead; smaller shards balance load across workers.
-	// 0 means DefaultBatchShardSize. A negative value disables
-	// sharding entirely: requests dispatch one index at a time and
-	// plans compile on the evaluation workers (the pre-sharding
-	// scheduler, kept for A/B comparison).
+	// 0 (or negative) means DefaultBatchShardSize.
 	BatchShardSize int
 	// SolveWorkers is the intra-query worker count for the partitioned
 	// fixpoint/NL passes on giant instances (see Options.SolveWorkers).
@@ -178,7 +172,7 @@ type Engine struct {
 	capacity       int
 	workers        int
 	compileWorkers int
-	shardSize      int // < 0: sharding disabled (legacy scheduler)
+	shardSize      int
 	solveWorkers   int
 	parThreshold   int // 0: engage on any non-empty instance (forced)
 
@@ -223,7 +217,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.CompileWorkers <= 0 {
 		cfg.CompileWorkers = cfg.Workers
 	}
-	if cfg.BatchShardSize == 0 {
+	if cfg.BatchShardSize <= 0 {
 		cfg.BatchShardSize = DefaultBatchShardSize
 	}
 	if cfg.SolveWorkers <= 0 {
@@ -389,11 +383,10 @@ type Request struct {
 // CertainBatch evaluates all requests concurrently on the engine's
 // worker pool and returns one Result per request, in request order.
 // Distinct requests for the same query word share a single compiled
-// plan; see the package comment for the two-phase sharded scheduling
-// (disable it with EngineConfig.BatchShardSize < 0). A request that
-// cannot be evaluated — its options force an unsound tier, or ctx is
-// cancelled before it runs — gets its Err field set instead of a
-// decision; the remaining requests are unaffected.
+// plan; see the package comment for the two-phase sharded scheduling.
+// A request that cannot be evaluated — its options force an unsound
+// tier, or ctx is cancelled before it runs — gets its Err field set
+// instead of a decision; the remaining requests are unaffected.
 func (e *Engine) CertainBatch(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
@@ -402,11 +395,7 @@ func (e *Engine) CertainBatch(ctx context.Context, reqs []Request) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.shardSize < 0 {
-		e.certainBatchUnsharded(ctx, reqs, out)
-	} else {
-		e.certainBatchSharded(ctx, reqs, out)
-	}
+	e.certainBatchSharded(ctx, reqs, out)
 	return out
 }
 
@@ -551,52 +540,6 @@ func affineOrder(reqs []Request, idxs []int) []int {
 		affine = append(affine, runs[db]...)
 	}
 	return affine
-}
-
-// certainBatchUnsharded is the pre-sharding scheduler: one request
-// index at a time through a shared channel, plans compiled by whichever
-// evaluation worker draws the first request for a word. Selected by
-// EngineConfig.BatchShardSize < 0; kept for A/B comparison against the
-// sharded scheduler.
-func (e *Engine) certainBatchUnsharded(ctx context.Context, reqs []Request, out []Result) {
-	workers := e.workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					out[i].Err = err
-					continue
-				}
-				res, err := e.CertainOptCtx(ctx, reqs[i].Query, reqs[i].DB, reqs[i].Options)
-				res.Err = err
-				out[i] = res
-			}
-		}()
-	}
-	sent := 0
-feed:
-	for i := range reqs {
-		select {
-		case idx <- i:
-			sent = i + 1
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		for i := sent; i < len(reqs); i++ {
-			out[i].Err = err
-		}
-	}
 }
 
 // defaultEngine backs the package-level Certain/CertainOpt/CertainBatch

@@ -244,26 +244,28 @@ func distinctWords(reqs []Request) int {
 	return len(seen)
 }
 
-// TestCertainBatchShardedMatchesUnsharded checks the two-phase sharded
-// scheduler against the pre-sharding per-request scheduler on a skewed
-// word mix over shared instances: identical results in request order,
-// and exactly one plan compilation per distinct word despite the
-// concurrent compile pre-pass (run with -race and -cpu 1,4).
-func TestCertainBatchShardedMatchesUnsharded(t *testing.T) {
+// TestCertainBatchShardedMatchesSequential checks the two-phase sharded
+// scheduler against one CertainOpt call per request on a fresh engine,
+// on a skewed word mix over shared instances: identical results in
+// request order, and exactly one plan compilation per distinct word
+// despite the concurrent compile pre-pass (run with -race and
+// -cpu 1,4).
+func TestCertainBatchShardedMatchesSequential(t *testing.T) {
 	const nInstances = 8
 	reqs := skewedShardWorkload(nInstances, 60, 3)
 	sharded := NewEngine(EngineConfig{Workers: 8, CompileWorkers: 4, BatchShardSize: 4})
-	unsharded := NewEngine(EngineConfig{Workers: 8, BatchShardSize: -1})
+	sequential := NewEngine(EngineConfig{})
 
 	got := sharded.CertainBatch(context.Background(), reqs)
-	want := unsharded.CertainBatch(context.Background(), reqs)
-	if len(got) != len(reqs) || len(want) != len(reqs) {
-		t.Fatalf("result lengths: sharded=%d unsharded=%d reqs=%d", len(got), len(want), len(reqs))
+	if len(got) != len(reqs) {
+		t.Fatalf("result lengths: sharded=%d reqs=%d", len(got), len(reqs))
 	}
 	for i := range got {
-		if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", want[i]) {
-			t.Errorf("request %d (q=%v):\n sharded   %+v\n unsharded %+v",
-				i, reqs[i].Query, got[i], want[i])
+		want, err := sequential.CertainOpt(reqs[i].Query, reqs[i].DB, reqs[i].Options)
+		want.Err = err
+		if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", want) {
+			t.Errorf("request %d (q=%v):\n sharded    %+v\n sequential %+v",
+				i, reqs[i].Query, got[i], want)
 		}
 	}
 

@@ -287,18 +287,13 @@ func (c *Compiled) Query() words.Word { return c.q.Clone() }
 // NFA returns the compiled NFA(q).
 func (c *Compiled) NFA() *automata.NFA { return c.nfa }
 
-// Solve runs the worklist implementation of the Figure 5 algorithm on db
-// for path query q. The Certain field of the result decides
-// CERTAINTY(q) whenever q satisfies C3.
-func Solve(db *instance.Instance, q words.Word) *Result {
-	return Compile(q).Solve(db)
-}
-
-// Solve runs the worklist algorithm on db with the precompiled query
-// machinery. The entire fixpoint iteration runs on interned state: the
-// relation N is a bitset indexed by constID*(|q|+1)+u, the worklist
-// carries packed int pairs, and the Iterative Rule walks the binding's
-// CSR successor index — no string hashing or per-pair allocation.
+// Solve runs the worklist implementation of the Figure 5 algorithm on
+// db with the precompiled query machinery. The Certain field of the
+// result decides CERTAINTY(q) whenever q satisfies C3. The entire
+// fixpoint iteration runs on interned state: the relation N is a bitset
+// indexed by constID*(|q|+1)+u, the worklist carries packed int pairs,
+// and the Iterative Rule walks the binding's CSR successor index — no
+// string hashing or per-pair allocation.
 func (cp *Compiled) Solve(db *instance.Instance) *Result {
 	return cp.SolveInterned(db.Interned())
 }
@@ -512,16 +507,6 @@ func FormatTrace(q words.Word, traces []Trace) string {
 	return b.String()
 }
 
-// CounterexampleRepair constructs the repair r* of the proof of
-// Lemma 10 for db (see Result.MinimalRepair), solving first when res
-// is nil.
-func CounterexampleRepair(db *instance.Instance, q words.Word, res *Result) *instance.Instance {
-	if res == nil {
-		res = Solve(db, q)
-	}
-	return res.MinimalRepair()
-}
-
 // MinimalRepair constructs the repair r* of the proof of Lemma 10 from
 // the relation N, on the solved snapshot's interned blocks: for every
 // block R(a,*), among all prefixes u0·R of q ending with R, let u0 be
@@ -660,18 +645,4 @@ func setKey(set []bool) string {
 		}
 	}
 	return string(b)
-}
-
-// CertainViaMinimalRepair decides CERTAINTY(q) for q satisfying C3 by
-// the Lemma 6 route: build the ⪯q-minimal repair r* (which minimizes
-// start(q, ·) over all repairs) and test whether it satisfies q. For C3
-// queries, r* satisfies q iff start(q, r*) is nonempty iff db is a
-// yes-instance. Exposed primarily for differential testing against
-// Solve.
-func CertainViaMinimalRepair(db *instance.Instance, q words.Word) bool {
-	if len(q) == 0 {
-		return true
-	}
-	res := Solve(db, q)
-	return CounterexampleRepair(db, q, res).Satisfies(q)
 }

@@ -71,7 +71,7 @@ func TestWorklistMatchesNaive(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(4))), string(rune('a'+rng.Intn(4))))
 		}
 		for _, q := range queries {
-			fast := Solve(db, q)
+			fast := Compile(q).Solve(db)
 			slow, _ := SolveNaive(db, q)
 			if fast.Certain != slow.Certain {
 				t.Fatalf("it=%d db=%s q=%v: worklist=%v naive=%v", it, db, q, fast.Certain, slow.Certain)
@@ -120,7 +120,7 @@ func TestAgainstExhaustiveC3(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(4))), string(rune('a'+rng.Intn(4))))
 		}
 		for _, q := range queries {
-			got := Solve(db, q).Certain
+			got := Compile(q).Solve(db).Certain
 			want := repairs.IsCertain(db, q)
 			if got != want {
 				t.Fatalf("it=%d db=%s q=%v: fixpoint=%v exhaustive=%v", it, db, q, got, want)
@@ -132,7 +132,7 @@ func TestAgainstExhaustiveC3(t *testing.T) {
 func TestFigure2YesInstance(t *testing.T) {
 	db := instance.MustParseFacts("R(0,1) R(1,2) R(1,3) R(2,3) X(3,4)")
 	q := words.MustParse("RRX")
-	res := Solve(db, q)
+	res := Compile(q).Solve(db)
 	if !res.Certain {
 		t.Fatal("Figure 2 is a yes-instance of CERTAINTY(RRX)")
 	}
@@ -156,8 +156,8 @@ func TestCounterexampleRepair(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(4))), string(rune('a'+rng.Intn(4))))
 		}
 		for _, q := range queries {
-			res := Solve(db, q)
-			r := CounterexampleRepair(db, q, res)
+			res := Compile(q).Solve(db)
+			r := res.MinimalRepair()
 			if !r.IsRepairOf(db) {
 				t.Fatalf("not a repair: %s of %s", r, db)
 			}
@@ -175,7 +175,7 @@ func TestCounterexampleRepair(t *testing.T) {
 }
 
 // TestMinimalRepairMinimizesStarts machine-checks Lemma 6: the repair r*
-// built by CounterexampleRepair minimizes start(q, ·) across repairs.
+// built by Result.MinimalRepair minimizes start(q, ·) across repairs.
 func TestMinimalRepairMinimizesStarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	q := words.MustParse("RRX")
@@ -186,7 +186,7 @@ func TestMinimalRepairMinimizesStarts(t *testing.T) {
 			rel := []string{"R", "X"}[rng.Intn(2)]
 			db.AddFact(rel, string(rune('a'+rng.Intn(3))), string(rune('a'+rng.Intn(3))))
 		}
-		rstar := CounterexampleRepair(db, q, nil)
+		rstar := Compile(q).Solve(db).MinimalRepair()
 		starStarts := nfaStarts(rstar, q)
 		repairs.ForEach(db, func(r *instance.Instance) bool {
 			rs := nfaStarts(r, q)
@@ -295,18 +295,30 @@ func TestCertainViaMinimalRepairAgrees(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(4))), string(rune('a'+rng.Intn(4))))
 		}
 		for _, q := range queries {
-			if got, want := CertainViaMinimalRepair(db, q), Solve(db, q).Certain; got != want {
+			if got, want := certainViaMinimalRepair(db, q), Compile(q).Solve(db).Certain; got != want {
 				t.Fatalf("it=%d db=%s q=%v: minimal-repair=%v fixpoint=%v", it, db, q, got, want)
 			}
 		}
 	}
 }
 
+// certainViaMinimalRepair decides CERTAINTY(q) for q satisfying C3 by
+// the Lemma 6 route: build the ⪯q-minimal repair r* (which minimizes
+// start(q, ·) over all repairs) and test whether it satisfies q. For C3
+// queries, r* satisfies q iff start(q, r*) is nonempty iff db is a
+// yes-instance.
+func certainViaMinimalRepair(db *instance.Instance, q words.Word) bool {
+	if len(q) == 0 {
+		return true
+	}
+	return Compile(q).Solve(db).MinimalRepair().Satisfies(q)
+}
+
 func TestEmptyQueryAndEmptyDB(t *testing.T) {
-	if !Solve(instance.New(), words.MustParse("RRX")).Certain == false {
+	if !Compile(words.MustParse("RRX")).Solve(instance.New()).Certain == false {
 		t.Error("empty db: no paths, no-instance") // vacuous double negative guard
 	}
-	res := Solve(instance.MustParseFacts("R(a,b)"), words.Word{})
+	res := Compile(words.Word{}).Solve(instance.MustParseFacts("R(a,b)"))
 	if !res.Certain {
 		t.Error("empty query is certain")
 	}

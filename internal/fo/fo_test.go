@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cqa/internal/bitset"
 	"cqa/internal/instance"
 	"cqa/internal/repairs"
 	"cqa/internal/words"
@@ -101,13 +102,31 @@ func TestCertainAtExample4(t *testing.T) {
 	// path, although the instance is a yes-instance of CERTAINTY(RRX).
 	db := instance.MustParseFacts("R(0,1) R(1,2) R(1,3) R(2,3) X(3,4)")
 	q := words.MustParse("RRX")
-	starts := CertainStarts(db, q)
+	starts := certainStarts(db, q)
 	if len(starts) != 0 {
-		t.Errorf("CertainStarts = %v, want empty", starts)
+		t.Errorf("CertainStartsBits = %v, want empty", starts)
 	}
-	if CertainAt(db, q, "0") {
+	if EvalWith(db, RewriteCertainAt(q, "x"), map[string]string{"x": "0"}) {
 		t.Error("0 is not a certain exact-RRX start")
 	}
+}
+
+// certainStarts names the constants whose CertainStartsBits bit is set,
+// for comparison with the exhaustive repairs.CertainStarts.
+func certainStarts(db *instance.Instance, q words.Word) map[string]bool {
+	iv := db.Interned()
+	return constNames(iv, CertainStartsBits(iv, q))
+}
+
+// constNames lists the constants of iv whose bit is set in bits.
+func constNames(iv *instance.Interned, bits bitset.Bits) map[string]bool {
+	out := make(map[string]bool)
+	for c := 0; c < iv.NumConsts(); c++ {
+		if bits.Test(c) {
+			out[iv.Const(int32(c))] = true
+		}
+	}
+	return out
 }
 
 // TestCertainStartsExactOnNLShapes: ψ is exact for the word shapes on
@@ -131,7 +150,7 @@ func TestCertainStartsExactOnNLShapes(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(3))), string(rune('a'+rng.Intn(3))))
 		}
 		for _, q := range queries {
-			got := CertainStarts(db, q)
+			got := certainStarts(db, q)
 			want := repairs.CertainStarts(db, q)
 			if len(got) != len(want) {
 				t.Fatalf("it=%d db=%s q=%v: DP=%v exhaustive=%v", it, db, q, got, want)
@@ -162,7 +181,7 @@ func TestCertainStartsSound(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(3))), string(rune('a'+rng.Intn(3))))
 		}
 		for _, q := range queries {
-			got := CertainStarts(db, q)
+			got := certainStarts(db, q)
 			want := repairs.CertainStarts(db, q)
 			for c := range got {
 				if !want[c] {
@@ -187,7 +206,7 @@ func TestLemma12Incompleteness(t *testing.T) {
 	if !exact["c"] {
 		t.Fatal("setup: c must be a certain exact-RRX start")
 	}
-	if CertainAt(db, q, "c") {
+	if certainStarts(db, q)["c"] {
 		t.Fatal("ψ(c) is expected to be false on this instance; if this " +
 			"fails the Lemma 12 discrepancy documented in DESIGN.md no longer reproduces")
 	}
@@ -216,15 +235,17 @@ func TestTerminalExample7(t *testing.T) {
 	// for RSRT in db.
 	db := instance.MustParseFacts("R(c,d) S(d,c) R(c,e) T(e,f)")
 	q := words.MustParse("RSRT")
-	if !Terminal(db, q, "c") {
+	iv := db.Interned()
+	terminal := constNames(iv, TerminalBitset(iv, q))
+	if !terminal["c"] {
 		t.Error("c must be terminal for RSRT")
 	}
 	// Lemma 17: terminal iff NO-instance of CERTAINTY(q[c]); verify
 	// against the exhaustive certain-start computation.
 	want := repairs.CertainStarts(db, q)
 	for _, c := range db.Adom() {
-		if Terminal(db, q, c) == want[c] {
-			t.Errorf("Terminal(%s) inconsistent with exhaustive", c)
+		if terminal[c] == want[c] {
+			t.Errorf("terminal(%s) inconsistent with exhaustive", c)
 		}
 	}
 }
@@ -232,17 +253,22 @@ func TestTerminalExample7(t *testing.T) {
 func TestTerminalSet(t *testing.T) {
 	db := instance.MustParseFacts("R(a,b) X(b,z)")
 	q := words.MustParse("RX")
-	ts := TerminalSet(db, q)
+	iv := db.Interned()
+	ts := constNames(iv, TerminalBitset(iv, q))
 	// a certainly starts RX, so a is not terminal; b and z are.
 	if ts["a"] || !ts["b"] || !ts["z"] {
-		t.Errorf("TerminalSet = %v", ts)
+		t.Errorf("TerminalBitset = %v", ts)
 	}
 }
 
 func TestEmptyQuery(t *testing.T) {
 	db := instance.MustParseFacts("R(a,b)")
-	if !IsCertainFO(db, words.Word{}) || !CertainAt(db, words.Word{}, "zzz") {
+	psi := RewriteCertainAt(words.Word{}, "x")
+	if !IsCertainFO(db, words.Word{}) || !EvalWith(db, psi, map[string]string{"x": "zzz"}) {
 		t.Error("empty query is certain everywhere")
+	}
+	if iv := db.Interned(); CertainStartsBits(iv, words.Word{}).Count() != iv.NumConsts() {
+		t.Error("empty query is certain at every constant of the active domain")
 	}
 	if !Eval(db, RewriteCertain(words.Word{})) {
 		t.Error("rewriting of empty query is true")

@@ -13,9 +13,18 @@ import (
 // allocates only the two frontier bitsets. This is the form the NL tier
 // calls at its leaves (terminal tests for the pre and loop words).
 
-// CertainStartsBits evaluates the Lemma 12 DP on the interned view of
-// an instance: bit c of the result is set iff db ⊨ ψ(c) for the
-// rewriting ψ of q. Bits at and beyond NumConsts are zero.
+// CertainStartsBits evaluates, by the linear-time dynamic program that
+// mirrors the Lemma 12 induction,
+//
+//	cert_k(c)  = true for all c (empty suffix)
+//	cert_i(c)  = block q[i](c,*) is nonempty ∧ every q[i](c,y) has cert_{i+1}(y)
+//
+// on the interned view of an instance: bit c of the result is set iff
+// cert_0(c), i.e. iff db ⊨ ψ(c) for the rewriting ψ of q
+// (RewriteCertainAt), in O(|q|·|db|) time. It is a sound
+// under-approximation of the certain exact-trace starts, and exact for
+// self-join-free and periodic q (see the package note on Lemma 12).
+// Bits at and beyond NumConsts are zero.
 func CertainStartsBits(iv *instance.Interned, q words.Word) bitset.Bits {
 	return CertainStartsBitsPar(iv, q, 1)
 }
@@ -89,8 +98,13 @@ func blockRanges(blocks []instance.InternedBlock, workers int) []int {
 }
 
 // TerminalBitset returns the constants of the interned view that are
-// terminal for q (Definition 15, computed as ¬ψ per Lemma 17): the
-// complement of CertainStartsBits over the active domain.
+// terminal for q (Definition 15): c is terminal iff some consistent
+// path with a proper-prefix trace of q starting at c cannot be
+// right-extended to a consistent path with trace q. By Lemma 17 this
+// holds iff db is a no-instance of CERTAINTY(q[c]), computed here as
+// ¬ψ(c): the complement of CertainStartsBits over the active domain.
+// That is exact for the self-join-free and periodic words on which the
+// NL tier invokes it (see the package note on Lemma 12).
 func TerminalBitset(iv *instance.Interned, q words.Word) bitset.Bits {
 	return TerminalBitsetPar(iv, q, 1)
 }

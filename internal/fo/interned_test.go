@@ -8,11 +8,11 @@ import (
 	"cqa/internal/words"
 )
 
-// TestTerminalBitsetMatchesTerminalSet: the interned Lemma 12 DP must
-// agree bit-for-bit with the string-keyed TerminalSet on random
-// instances and words (including relations absent from the instance and
-// the empty word).
-func TestTerminalBitsetMatchesTerminalSet(t *testing.T) {
+// TestTerminalBitsetMatchesPsi: the interned Lemma 12 DP must agree
+// bit-for-bit with ¬ψ(c), evaluated by the formula evaluator on the
+// rewriting ψ of RewriteCertainAt, on random instances and words
+// (including relations absent from the instance and the empty word).
+func TestTerminalBitsetMatchesPsi(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ws := []words.Word{
 		{}, words.MustParse("R"), words.MustParse("RX"), words.MustParse("RRX"),
@@ -27,13 +27,14 @@ func TestTerminalBitsetMatchesTerminalSet(t *testing.T) {
 		}
 		iv := db.Interned()
 		for _, q := range ws {
-			want := TerminalSet(db, q)
+			psi := RewriteCertainAt(q, "x")
 			bits := TerminalBitset(iv, q)
 			for c := 0; c < iv.NumConsts(); c++ {
 				got := bits[c>>6]&(1<<(uint(c)&63)) != 0
-				if got != want[iv.Const(int32(c))] {
-					t.Fatalf("q=%v db=%s: TerminalBitset(%s)=%v, TerminalSet=%v",
-						q, db, iv.Const(int32(c)), got, want[iv.Const(int32(c))])
+				want := !EvalWith(db, psi, map[string]string{"x": iv.Const(int32(c))})
+				if got != want {
+					t.Fatalf("q=%v db=%s: TerminalBitset(%s)=%v, ¬ψ=%v",
+						q, db, iv.Const(int32(c)), got, want)
 				}
 			}
 			// No bits may leak past the active domain.

@@ -69,65 +69,10 @@ func RewriteCertain(q words.Word) Formula {
 	return Exists{Var: "x", F: RewriteCertainAt(q, "x")}
 }
 
-// CertainStarts computes, by the linear-time dynamic program that
-// mirrors the Lemma 12 induction, the set of constants c with db ⊨ ψ(c):
-//
-//	cert_k(c)  = true for all c (empty suffix)
-//	cert_i(c)  = block q[i](c,*) is nonempty ∧ every q[i](c,y) has cert_{i+1}(y)
-//
-// CertainStarts(db, q) = { c ∈ adom(db) | cert_0(c) }. This is the
-// evaluation of ψ(x) from RewriteCertainAt in O(|q|·|db|) time. It is a
-// sound under-approximation of the certain exact-trace starts, and exact
-// for self-join-free and periodic q (see the package note on Lemma 12).
-func CertainStarts(db *instance.Instance, q words.Word) map[string]bool {
-	iv := db.Interned()
-	bits := CertainStartsBits(iv, q)
-	out := make(map[string]bool)
-	for c := 0; c < iv.NumConsts(); c++ {
-		if bits.Test(c) {
-			out[iv.Const(int32(c))] = true
-		}
-	}
-	return out
-}
-
-// CertainAt reports whether db ⊨ ψ(c) for the Lemma 12 rewriting ψ of
-// q[c]; see the package note for the precise relationship with
-// CERTAINTY(q[c]).
-func CertainAt(db *instance.Instance, q words.Word, c string) bool {
-	if len(q) == 0 {
-		return true
-	}
-	return CertainStarts(db, q)[c]
-}
-
 // IsCertainFO decides CERTAINTY(q) using the Lemma 13 rewriting,
 // evaluated as the interned Lemma 12 DP (CertainStartsBits). It is a
 // correct decision procedure iff q satisfies C1; callers must check
 // classification first (the cqa facade does).
 func IsCertainFO(db *instance.Instance, q words.Word) bool {
 	return len(q) == 0 || CertainStartsBits(db.Interned(), q).Count() > 0
-}
-
-// Terminal reports whether constant c is terminal for q in db
-// (Definition 15): some consistent path with a proper-prefix trace of q
-// starting at c cannot be right-extended to a consistent path with
-// trace q. By Lemma 17 this holds iff db is a NO-instance of
-// CERTAINTY(q[c]); it is computed here as ¬ψ(c), which is exact for the
-// self-join-free and periodic words on which the NL tier invokes it
-// (see the package note on Lemma 12).
-func Terminal(db *instance.Instance, q words.Word, c string) bool {
-	return !CertainAt(db, q, c)
-}
-
-// TerminalSet returns all constants of db that are terminal for q.
-func TerminalSet(db *instance.Instance, q words.Word) map[string]bool {
-	cert := CertainStarts(db, q)
-	out := make(map[string]bool)
-	for _, c := range db.Adom() {
-		if !cert[c] {
-			out[c] = true
-		}
-	}
-	return out
 }

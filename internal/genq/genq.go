@@ -395,17 +395,20 @@ func restCertain(db *instance.Instance, rest *Query) bool {
 			// construction (char(q) swallowed the variable prefix).
 			return false
 		}
+		segDB, seg := db, w
 		if endConst != "" {
 			// Lemma 26: append a fresh relation fact N(endConst, d).
 			fresh := "Nrest"
-			db2 := db.Clone()
-			db2.AddFact(fresh, endConst, "⊥d")
-			w2 := append(w.Clone(), fresh)
-			if !fo.CertainAt(db2, w2, c) {
-				return false
-			}
-		} else {
-			if !fo.CertainAt(db, w, c) {
+			segDB = db.Clone()
+			segDB.AddFact(fresh, endConst, "⊥d")
+			seg = append(w.Clone(), fresh)
+		}
+		// segDB ⊨ ψ(c) for the Lemma 12 rewriting ψ of seg: true for the
+		// empty word, false for a constant outside the active domain.
+		if len(seg) > 0 {
+			iv := segDB.Interned()
+			id, ok := iv.ConstID(c)
+			if !ok || !fo.CertainStartsBits(iv, seg).Test(int(id)) {
 				return false
 			}
 		}

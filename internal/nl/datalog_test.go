@@ -55,7 +55,7 @@ func TestDatalogAgreesWithDirectSolver(t *testing.T) {
 
 func TestDatalogTerminalMatchesFO(t *testing.T) {
 	// The generated terminal_<tag> predicate must agree with
-	// fo.TerminalSet (the Lemma 12 DP).
+	// fo.TerminalBitset (the Lemma 12 DP).
 	rng := rand.New(rand.NewSource(92))
 	for it := 0; it < 40; it++ {
 		db := randomInstance(rng, []string{"R", "X"}, 8, 4)
@@ -69,11 +69,13 @@ func TestDatalogTerminalMatchesFO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fo.TerminalSet(db, w)
+			iv := db.Interned()
+			want := fo.TerminalBitset(iv, w)
 			for _, c := range db.Adom() {
-				if out.Contains("terminal_whole", c) != want[c] {
+				id, _ := iv.ConstID(c)
+				if out.Contains("terminal_whole", c) != want.Test(int(id)) {
 					t.Fatalf("it=%d db=%s w=%v c=%s: datalog=%v fo=%v",
-						it, db, w, c, out.Contains("terminal_whole", c), want[c])
+						it, db, w, c, out.Contains("terminal_whole", c), want.Test(int(id)))
 				}
 			}
 		}

@@ -91,7 +91,7 @@ func Decompose(q words.Word) (*Decomposition, error) {
 	// Degenerate case: the minimal language collapses to {q} when every
 	// pumped word has q as a proper prefix (e.g. q = RR, q = YXYXY).
 	// The avoidance predicate is then handled by the whole-word
-	// sub-solver (see ComputeO), which is still an NL computation.
+	// sub-solver (see Binding.sub), which is still an NL computation.
 	candidates = append(candidates, &Decomposition{
 		Form: "exact", Pre: q.Clone(), Loop: words.Word{}, Exit: words.Word{},
 		ExitRegex: regex.Eps{}, Language: regex.Literal(q),
@@ -317,27 +317,6 @@ func IsCertain(db *instance.Instance, q words.Word) (bool, *Decomposition, error
 	}
 	return e.IsCertain(db), e.d, nil
 }
-
-// ComputeO computes the predicate O of Lemma 14 for every constant:
-// db ⊨ O(c) iff some repair of db contains no path starting at c whose
-// trace is in the certified language pre (loop)* exitLang (Claim 4).
-// The map form is a thin conversion of the interned bitset the
-// evaluator computes; callers on hot paths should use Evaluator
-// directly.
-func ComputeO(db *instance.Instance, d *Decomposition) map[string]bool {
-	iv := db.Interned()
-	o := newEvaluator(d.queryWord(), d).Bind(iv, fixpoint.SolveOptions{}).o
-	out := make(map[string]bool, iv.NumConsts())
-	for c := 0; c < iv.NumConsts(); c++ {
-		out[iv.Const(int32(c))] = o.Test(c)
-	}
-	return out
-}
-
-// queryWord reconstructs the query word the decomposition covers (only
-// the sub-words matter to the evaluator, so pre·exit suffices for the
-// loop-free forms and pre/exit individually otherwise).
-func (d *Decomposition) queryWord() words.Word { return words.Concat(d.Pre, d.Exit) }
 
 // Binding holds the instance-bound artifacts of the Lemma 14 procedure
 // for one (evaluator, interned snapshot) pair, staged so a lineage

@@ -143,7 +143,7 @@ func TestAgainstFixpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("q=%v: %v", q, err)
 			}
-			want := fixpoint.Solve(db, q).Certain
+			want := fixpoint.Compile(q).Solve(db).Certain
 			if got != want {
 				t.Fatalf("it=%d db=%s q=%v: nl=%v fixpoint=%v", it, db, q, got, want)
 			}
@@ -166,16 +166,21 @@ func TestComputeOStructure(t *testing.T) {
 	// On the Figure 2 instance with q = RRX, O must be false exactly at
 	// the certain start 0.
 	db := instance.MustParseFacts("R(0,1) R(1,2) R(1,3) R(2,3) X(3,4)")
-	d, err := Decompose(words.MustParse("RRX"))
+	ev, err := NewEvaluator(words.MustParse("RRX"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := ComputeO(db, d)
-	if o["0"] {
+	iv := db.Interned()
+	o := ev.Bind(iv, fixpoint.SolveOptions{}).o
+	holds := func(c string) bool {
+		id, ok := iv.ConstID(c)
+		return ok && o.Test(int(id))
+	}
+	if holds("0") {
 		t.Error("O(0) must be false: every repair has an RR(R)*X path from 0")
 	}
 	for _, c := range []string{"2", "3", "4"} {
-		if !o[c] {
+		if !holds(c) {
 			t.Errorf("O(%s) must be true", c)
 		}
 	}

@@ -31,7 +31,7 @@ func TestLemma18Equivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := g.Reachable(s, tt) // path from s to t ⟺ NO-instance
-			got := !fixpoint.Solve(db, q).Certain
+			got := !fixpoint.Compile(q).Solve(db).Certain
 			if got != want {
 				t.Fatalf("it=%d q=%v: reachable=%v noInstance=%v db=%s", it, q, want, got, db)
 			}
@@ -61,7 +61,7 @@ func TestFigure8Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// s is reachable from s, t reachable: NO-instance expected.
-	if fixpoint.Solve(db, words.MustParse("RRX")).Certain {
+	if fixpoint.Compile(words.MustParse("RRX")).Solve(db).Certain {
 		t.Errorf("reachable graph must yield a NO-instance:\n%s", db)
 	}
 }
@@ -145,7 +145,7 @@ func TestLemma20Equivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := c.Value(sigma)
-			got := fixpoint.Solve(db, q).Certain
+			got := fixpoint.Compile(q).Solve(db).Certain
 			if got != want {
 				t.Fatalf("it=%d q=%v: value=%v certain=%v", it, q, want, got)
 			}
@@ -190,7 +190,7 @@ func TestFigure10Gadgets(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := c.Value(sigma)
-			if got := fixpoint.Solve(db, words.MustParse("RXRYRY")).Certain; got != want {
+			if got := fixpoint.Compile(words.MustParse("RXRYRY")).Solve(db).Certain; got != want {
 				t.Errorf("%s gate, σ=%v: certain=%v want=%v", kind, sigma, got, want)
 			}
 		}

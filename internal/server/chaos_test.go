@@ -89,8 +89,8 @@ func (c *chaosTally) tallyResponse(r queryResponse, want map[string]bool, checke
 // lanes can hold, under the race detector. It asserts the daemon never
 // crashes or wedges, every non-errored decision matches an in-process
 // reference, the recovered-panic counters reconcile exactly with the
-// injected fault counts, and dropped instances leave no router
-// assignment behind.
+// injected fault counts, and neither dropped instances nor requests for
+// unknown names leave a router assignment behind.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
@@ -313,6 +313,30 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}()
 
+	// Unknown-name traffic: queries, mutations and batches for names
+	// nobody registers. None may claim a router assignment, which the
+	// live-instance check below asserts.
+	var ghosts atomic.Uint64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := fmt.Sprintf("ghost%d", i)
+			if resp, err := http.Get(base + "/instances/" + name + "/query?q=RRX"); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			post(base+"/instances/"+name+"/mutate", poolToggle(i))
+			post(base+"/instances/"+name+"/batch", strings.Join(serveWords, "\n")+"\n")
+			ghosts.Add(1)
+		}
+	}()
+
 	time.Sleep(1500 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -378,8 +402,9 @@ func TestChaosSoak(t *testing.T) {
 	// double-counted, or a genuine (non-injected) panic occurred.
 	m := scrapeMetrics(t, base)
 
-	// Register/drop churn left nothing behind: the router assigns only
-	// live instances, and the per-worker placement counts match.
+	// Register/drop churn and unknown-name traffic left nothing behind:
+	// the router assigns only live instances, and the per-worker
+	// placement counts match.
 	live := make(map[string]bool)
 	for _, info := range m.Instances {
 		live[info.Name] = true
@@ -390,7 +415,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	for name := range m.Router.Assignments {
 		if !live[name] {
-			t.Errorf("router still assigns dropped instance %s", name)
+			t.Errorf("router still assigns dropped or unknown instance %s", name)
 		}
 	}
 	if placed != int64(len(m.Router.Assignments)) {
@@ -398,6 +423,9 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if churned.Load() == 0 {
 		t.Error("register/drop churn ran no cycle")
+	}
+	if ghosts.Load() == 0 {
+		t.Error("unknown-name client sent no request")
 	}
 
 	recovered := m.Engine.Panics + m.Router.Panics + m.HandlerPanics

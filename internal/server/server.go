@@ -371,6 +371,21 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"dropped": name})
 }
 
+// route runs fn for the named instance on the heavy lane or on the
+// instance's sticky fast-lane worker. The router assigns a worker to a
+// name on first touch and only a drop releases it, so a name that is
+// not registered is answered ErrInstanceNotFound here, before it can
+// claim an assignment or a queue slot.
+func (s *Server) route(ctx context.Context, name string, heavy bool, fn func()) error {
+	if !s.reg.Has(name) {
+		return fmt.Errorf("%w: %q", cqa.ErrInstanceNotFound, name)
+	}
+	if heavy {
+		return s.router.DoHeavy(ctx, fn)
+	}
+	return s.router.Do(ctx, name, fn)
+}
+
 // mutateRequest is the mutate endpoint's body: fact tokens to add and
 // remove, applied atomically as one snapshot step.
 type mutateRequest struct {
@@ -418,7 +433,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Mutations always ride the fast lane: the sticky worker is what
 	// puts the mutation and the lineage repair of its own memo entry on
 	// the same goroutine.
-	if doErr := s.router.Do(ctx, name, func() {
+	if doErr := s.route(ctx, name, false, func() {
 		info, mutErr = s.reg.Mutate(name, mut)
 	}); doErr != nil {
 		httpError(w, errStatus(doErr), doErr)
@@ -475,13 +490,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fn := func() {
 		res, qErr = s.reg.Query(ctx, name, q, cqa.Options{})
 	}
-	var doErr error
-	if s.heavyQuery(q) {
-		doErr = s.router.DoHeavy(ctx, fn)
-	} else {
-		doErr = s.router.Do(ctx, name, fn)
-	}
-	if doErr != nil {
+	if doErr := s.route(ctx, name, s.heavyQuery(q), fn); doErr != nil {
 		httpError(w, errStatus(doErr), doErr)
 		return
 	}
@@ -567,12 +576,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fn := func() {
 					res, batchErr = s.reg.QueryBatchItems(cctx, name, sub, cqa.Options{})
 				}
-				var doErr error
-				if heavy {
-					doErr = s.router.DoHeavy(cctx, fn)
-				} else {
-					doErr = s.router.Do(cctx, name, fn)
-				}
+				doErr := s.route(cctx, name, heavy, fn)
 				for j, i := range idxs {
 					switch {
 					case doErr != nil:

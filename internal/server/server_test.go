@@ -329,6 +329,36 @@ func TestServeHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestServeUnknownNamesClaimNoAssignment: query, mutate and batch
+// requests for names nobody registered are answered not-found (per line
+// for a batch) and leave the router's assignment table empty, so a
+// client cannot grow it with made-up names.
+func TestServeUnknownNamesClaimNoAssignment(t *testing.T) {
+	s, ts := newTestServer(t)
+	base := ts.URL
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/instances/ghost%d/query?q=RRX", base, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("query on unknown name: %d, want 404", resp.StatusCode)
+		}
+		if code, body := mustPost(t, fmt.Sprintf("%s/instances/ghostm%d/mutate", base, i), `{"add":["R(a,b)"]}`); code != http.StatusNotFound {
+			t.Fatalf("mutate on unknown name: %d %s, want 404", code, body)
+		}
+		for _, r := range runBatch(t, base, fmt.Sprintf("ghostb%d", i), serveWords) {
+			if !strings.Contains(r.Error, cqa.ErrInstanceNotFound.Error()) {
+				t.Fatalf("batch line on unknown name: %+v, want a not-found error", r)
+			}
+		}
+	}
+	if a := s.router.Stats().Assignments; len(a) != 0 {
+		t.Errorf("unknown names left %d router assignments: %v", len(a), a)
+	}
+}
+
 // TestServeDrain: after Drain, evaluation endpoints answer 503 and
 // nothing panics; metadata endpoints still work.
 func TestServeDrain(t *testing.T) {

@@ -58,7 +58,7 @@ func TestFigure2Family(t *testing.T) {
 		if db.IsConsistent() {
 			t.Errorf("n=%d: family must be inconsistent", n)
 		}
-		if !fixpoint.Solve(db, q).Certain {
+		if !fixpoint.Compile(q).Solve(db).Certain {
 			t.Errorf("n=%d: Figure 2 family must be a yes-instance", n)
 		}
 	}

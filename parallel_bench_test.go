@@ -1,6 +1,6 @@
 package cqa
 
-// Benchmark series E19: intra-query parallelism on giant instances.
+// Benchmark series for intra-query parallelism on giant instances.
 // Each benchmark pairs a serial and a parallel arm over the same
 // facts=1e6 instance so benchgate can gate their quotient — the
 // hardware-independent claim "the partitioned path is ≥ 2x at 4 cores"

@@ -130,6 +130,13 @@ func (r *Registry) Names() []string {
 	return names
 }
 
+// Has reports whether name is registered.
+func (r *Registry) Has(name string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.insts[name] != nil
+}
+
 func (r *Registry) lookup(name string) (*managed, error) {
 	r.mu.RLock()
 	m := r.insts[name]
@@ -188,32 +195,6 @@ func (r *Registry) Query(ctx context.Context, name string, q Query, opts Options
 	return r.eng.CertainOptCtx(ctx, q, m.db, opts)
 }
 
-// QueryBatch decides a run of queries against the named instance under
-// one read lock acquisition, sequentially — consecutive decisions on
-// the same snapshot are exactly the memo-warm pattern the engine's
-// snapshot-affine sharding produces, without cross-worker handoff for
-// what is a single caller's stream. Evaluation stops at the first
-// context error; results before it are returned with a short count.
-func (r *Registry) QueryBatch(ctx context.Context, name string, queries []Query, opts Options) ([]Result, error) {
-	m, err := r.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Result, 0, len(queries))
-	for _, q := range queries {
-		res, err := r.eng.CertainOptCtx(ctx, q, m.db, opts)
-		if err != nil && ctx.Err() != nil {
-			return out, err
-		}
-		m.queries.Add(1)
-		res.Err = err
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // BatchItem is one query of a QueryBatchItems run, optionally carrying
 // its own deadline. A zero Deadline means the batch context alone
 // governs the item.
@@ -227,15 +208,17 @@ type BatchItem struct {
 	Deadline time.Time
 }
 
-// QueryBatchItems is QueryBatch with per-item deadlines: the serve
-// daemon's NDJSON batch path, where each request line may carry its own
-// timeout_ms. Items are evaluated sequentially under one read lock like
-// QueryBatch; an item with a live deadline evaluates under a context
-// bounded by it (its expiry errors only that item), while an item whose
-// deadline has already passed is answered with context.DeadlineExceeded
-// without ever being evaluated. Evaluation stops at the first
-// batch-context error; results before it are returned with a short
-// count.
+// QueryBatchItems decides a run of queries against the named instance
+// under one read lock acquisition, sequentially: consecutive decisions
+// on the same snapshot are exactly the memo-warm pattern the engine's
+// snapshot-affine sharding produces, without cross-worker handoff for
+// what is a single caller's stream. It is the serve daemon's NDJSON
+// batch path, where each request line may carry its own timeout_ms: an
+// item with a live deadline evaluates under a context bounded by it
+// (its expiry errors only that item), while an item whose deadline has
+// already passed is answered with context.DeadlineExceeded without ever
+// being evaluated. Evaluation stops at the first batch-context error;
+// results before it are returned with a short count.
 func (r *Registry) QueryBatchItems(ctx context.Context, name string, items []BatchItem, opts Options) ([]Result, error) {
 	m, err := r.lookup(name)
 	if err != nil {

@@ -120,7 +120,8 @@ func TestRegistryQueryBatch(t *testing.T) {
 		MustParseQuery("RRX"),
 		MustParseQuery("RXRX"),
 	}
-	out, err := r.QueryBatch(context.Background(), "db", queries, Options{})
+	items := batchItems(queries)
+	out, err := r.QueryBatchItems(context.Background(), "db", items, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRegistryQueryBatch(t *testing.T) {
 	// A canceled context stops the batch with a short count.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err = r.QueryBatch(ctx, "db", queries, Options{})
+	out, err = r.QueryBatchItems(ctx, "db", items, Options{})
 	if err == nil {
 		t.Fatal("canceled batch returned nil error")
 	}
@@ -147,9 +148,18 @@ func TestRegistryQueryBatch(t *testing.T) {
 		t.Fatalf("canceled batch returned %d results, want 0", len(out))
 	}
 
-	if _, err := r.QueryBatch(context.Background(), "nope", queries, Options{}); !errors.Is(err, ErrInstanceNotFound) {
-		t.Fatalf("QueryBatch on missing: got %v, want ErrInstanceNotFound", err)
+	if _, err := r.QueryBatchItems(context.Background(), "nope", items, Options{}); !errors.Is(err, ErrInstanceNotFound) {
+		t.Fatalf("QueryBatchItems on missing: got %v, want ErrInstanceNotFound", err)
 	}
+}
+
+// batchItems wraps queries as QueryBatchItems items without deadlines.
+func batchItems(queries []Query) []BatchItem {
+	items := make([]BatchItem, len(queries))
+	for i, q := range queries {
+		items[i] = BatchItem{Query: q}
+	}
+	return items
 }
 
 // TestRegistryMutate checks atomic remove-then-add ordering and that an
@@ -191,8 +201,8 @@ func TestRegistryMutate(t *testing.T) {
 // TestRegistryConcurrentChurn runs concurrent queries and mutations
 // against one registered instance; the registry's per-instance RWMutex
 // must keep them from racing (run with -race). Decisions are checked
-// for internal consistency per snapshot via QueryBatch, which holds the
-// read lock across the whole run.
+// for internal consistency per snapshot via QueryBatchItems, which holds
+// the read lock across the whole run.
 func TestRegistryConcurrentChurn(t *testing.T) {
 	r := NewRegistry(NewEngine(EngineConfig{}))
 	if err := r.Register("db", churnInstance(11)); err != nil {
@@ -200,12 +210,12 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 	}
 	consts := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	rels := []string{"A", "R", "X", "Y"}
-	queries := []Query{
+	items := batchItems([]Query{
 		MustParseQuery("RXRX"),
 		MustParseQuery("RRX"),
 		MustParseQuery("RXRYRY"),
 		MustParseQuery("ARRX"),
-	}
+	})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -235,7 +245,7 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				out, err := r.QueryBatch(context.Background(), "db", queries, Options{})
+				out, err := r.QueryBatchItems(context.Background(), "db", items, Options{})
 				if err != nil {
 					t.Errorf("batch: %v", err)
 					return
