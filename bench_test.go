@@ -167,12 +167,12 @@ func BenchmarkTierSATCompiled(b *testing.B) {
 	for _, size := range benchSizes {
 		iv := benchInstance(size).Interned()
 		enc := cp.Encode(iv) // encode the CNF once
-		if _, err := cp.Solve(ctx, iv, enc); err != nil {
+		if _, err := cp.Solve(ctx, iv, enc, false); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("facts=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := cp.Solve(ctx, iv, enc); err != nil {
+				if _, err := cp.Solve(ctx, iv, enc, false); err != nil {
 					b.Fatal(err)
 				}
 			}

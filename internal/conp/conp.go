@@ -31,9 +31,10 @@
 // learns) is an Encoding: the plan layer memoizes it per interned
 // snapshot, so a re-decision on an unchanged instance re-runs only the
 // solver (Solve) — under the same assumptions, warmed by saved phases
-// and learned clauses. Counterexample repairs are decoded to interned
-// fact ids at solve time and materialized to a string-keyed
-// *instance.Instance only on demand.
+// and learned clauses. A counterexample repair is decoded from the
+// model only when the caller asks Solve for one: to interned fact ids at
+// solve time, then materialized to a string-keyed *instance.Instance on
+// demand. A plain decision reads nothing out of the model.
 //
 // Lineage repair. When a snapshot is a structural delta of a resident
 // ancestor (instance.Delta), Patch derives its encoding by patching the
@@ -46,9 +47,12 @@
 // invalidates learned clauses — the patcher purges them, keeping saved
 // phases and variable activities). The ancestor's solver moves to the
 // patched encoding; structural shifts the patch cannot express — block
-// creation or emptying, selectors the solver has root-fixed, an
-// exhausted patch budget — fall back to a cold build. See Patch for the
-// soundness argument.
+// creation or emptying, a solver already moved on or root-unsatisfiable,
+// an exhausted patch budget — fall back to a cold build. See Patch for the
+// soundness argument. A patch allocates in proportion to the blocks it
+// touches, not to the formula: the solver grows its per-variable tables
+// amortized and drops purged learned clauses from its watch lists
+// lazily.
 package conp
 
 import (
@@ -98,7 +102,8 @@ type Result struct {
 	Conflicts    uint64
 
 	// The counterexample is decoded to interned ids (one chosen value
-	// per block) at solve time and materialized on demand.
+	// per block) at solve time, when requested, and materialized on
+	// demand.
 	iv      *instance.Interned
 	sel     []int32
 	cexOnce sync.Once
@@ -106,9 +111,11 @@ type Result struct {
 }
 
 // Counterexample returns a repair of db falsifying q when Certain is
-// false, and nil otherwise. The repair is materialized to a
-// string-keyed instance on first call and memoized; callers that only
-// need the decision never pay for the materialization.
+// false and the result was solved with a counterexample requested
+// (IsCertain always requests one), and nil otherwise. The repair is
+// materialized to a string-keyed instance on first call and memoized;
+// callers that only need the decision never pay for the decode or the
+// materialization.
 func (r *Result) Counterexample() *instance.Instance {
 	if r.Certain || r.iv == nil {
 		return nil
@@ -170,7 +177,7 @@ func (c *Compiled) Query() words.Word { return c.q.Clone() }
 func (c *Compiled) IsCertain(db *instance.Instance) *Result {
 	iv := db.Interned()
 	// A background context never cancels.
-	res, _ := c.Solve(context.Background(), iv, c.Encode(iv))
+	res, _ := c.Solve(context.Background(), iv, c.Encode(iv), true)
 	return res
 }
 
@@ -188,8 +195,10 @@ func (c *Compiled) Encode(iv *instance.Interned) *Encoding {
 // the call returns ctx.Err() (with a nil Result) if it is canceled
 // mid-solve. The encoding keeps its solver across calls, so a
 // re-decision — or a retry after a cancellation — resumes from
-// everything learned so far.
-func (c *Compiled) Solve(ctx context.Context, iv *instance.Interned, e *Encoding) (*Result, error) {
+// everything learned so far. The falsifying repair is decoded from the
+// model only when wantCounterexample is set; otherwise the result's
+// Counterexample is nil, and a decision reads nothing out of the model.
+func (c *Compiled) Solve(ctx context.Context, iv *instance.Interned, e *Encoding, wantCounterexample bool) (*Result, error) {
 	if c.k == 0 {
 		return &Result{Certain: true}, nil
 	}
@@ -203,8 +212,10 @@ func (c *Compiled) Solve(ctx context.Context, iv *instance.Interned, e *Encoding
 	e.prevDec, e.prevProp, e.prevConf = d, p, cf
 	switch status {
 	case sat.Sat:
-		res.iv = iv
-		res.sel = e.decodeSel()
+		if wantCounterexample {
+			res.iv = iv
+			res.sel = e.decodeSel()
+		}
 	case sat.Unsat:
 		res.Certain = true
 	case sat.Canceled:

@@ -28,7 +28,7 @@ func (m *memoCompiled) IsCertainInterned(iv *instance.Interned) *Result {
 			return child, child != nil
 		},
 		func() *Encoding { return m.Encode(iv) })
-	res, err := m.Solve(context.Background(), iv, e)
+	res, err := m.Solve(context.Background(), iv, e, true)
 	if err != nil {
 		panic(err) // a background context never cancels
 	}

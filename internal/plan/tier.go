@@ -196,17 +196,11 @@ func (t satTier) repair(parent *conp.Encoding, iv *instance.Interned, touched []
 }
 
 func (t satTier) decide(ctx context.Context, iv *instance.Interned, e *conp.Encoding, opts Options) (Result, error) {
-	out, err := t.c.Solve(ctx, iv, e)
+	out, err := t.c.Solve(ctx, iv, e, opts.WantCounterexample)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Method: MethodSAT, Certain: out.Certain}
-	if opts.WantCounterexample {
-		// The repair is already decoded to interned ids; only the
-		// string-keyed materialization is on demand.
-		res.Counterexample = out.Counterexample()
-	}
-	return res, nil
+	return Result{Method: MethodSAT, Certain: out.Certain, Counterexample: out.Counterexample()}, nil
 }
 
 func (satTier) cost(e *conp.Encoding) int64 { return e.Bytes() }

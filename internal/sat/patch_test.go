@@ -1,6 +1,9 @@
 package sat
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestExtendVarsSolveWithNewVariables(t *testing.T) {
 	s := NewSolver(2)
@@ -159,5 +162,55 @@ func TestReduceDBKeepsSolverSound(t *testing.T) {
 		if cnt == 0 {
 			t.Fatalf("pigeon %d unplaced", i)
 		}
+	}
+}
+
+// TestExtendVarsOneAtATimeIsAmortized: an incremental encoder splices
+// fresh variables into a live solver one at a time, so ExtendVars must
+// grow its tables amortized. 1,024 single-variable extensions of a
+// 65,536-variable solver stay under 32 MiB of allocation; copying the
+// 2(n+1)-entry watch table on every call would allocate about 3.2 GB.
+// The extended solver must then still decide formulas over the new
+// variables.
+func TestExtendVarsOneAtATimeIsAmortized(t *testing.T) {
+	const base, extra = 1 << 16, 1024
+	s := NewSolver(base)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < extra; i++ {
+		s.ExtendVars(s.NumVars() + 1)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
+		t.Fatalf("%d single-variable extensions allocated %d bytes, want < 32 MiB", extra, got)
+	}
+	if s.NumVars() != base+extra {
+		t.Fatalf("NumVars = %d, want %d", s.NumVars(), base+extra)
+	}
+
+	a, b, c, d := base+1, base+2, base+3, base+extra
+	sat := [][]int{{a, b}, {-a, c}, {-c, -b, d}, {-d, -a}}
+	for _, cl := range sat {
+		s.AddClauseFrom(cl)
+	}
+	if st := s.SolveAssuming(b); st != Sat {
+		t.Fatalf("satisfiable formula over the new variables = %v, want SAT", st)
+	}
+	m := s.Model()
+	if !m[b] {
+		t.Fatalf("model violates the assumption x%d", b)
+	}
+	for _, cl := range sat {
+		if !modelSatisfies(m, cl) {
+			t.Fatalf("model violates clause %v", cl)
+		}
+	}
+
+	x, y := base+extra/2, base+extra/2+1
+	for _, cl := range [][]int{{x, y}, {x, -y}, {-x, y}, {-x, -y}} {
+		s.AddClauseFrom(cl)
+	}
+	if st := s.SolveAssuming(); st != Unsat {
+		t.Fatalf("unsatisfiable formula over the new variables = %v, want UNSAT", st)
 	}
 }

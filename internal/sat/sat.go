@@ -106,6 +106,7 @@ type Solver struct {
 	activity []float64
 	varInc   float64
 	phase    []int8
+	seen     []bool // analyze's per-variable marks, all false between calls
 
 	// claInc / learntLimit drive activity-based learned-clause deletion:
 	// when the learned database reaches learntLimit, reduceDB drops the
@@ -135,6 +136,13 @@ type Solver struct {
 	// (the cold path) never pay for the re-check.
 	needReassert bool
 
+	// unswept counts learned clauses marked removed since the last full
+	// watch-list sweep. propagate drops a removed clause's entry when it
+	// meets one, so a sweep (filterWatches) runs only once the count
+	// exceeds the problem clauses, spreading its O(formula) cost over at
+	// least as many removals.
+	unswept int
+
 	propagations uint64
 	conflicts    uint64
 	decisions    uint64
@@ -159,6 +167,7 @@ func NewSolver(nVars int) *Solver {
 		reason:   make([]*clause, nVars+1),
 		activity: make([]float64, nVars+1),
 		phase:    make([]int8, nVars+1),
+		seen:     make([]bool, nVars+1),
 		order:    make([]int32, 0, nVars),
 		orderPos: make([]int32, nVars+1),
 		varInc:   1,
@@ -194,20 +203,22 @@ func (s *Solver) Stats() (uint64, uint64, uint64) {
 // exceed the current range). New variables start unassigned, with zero
 // activity and default phase, and join the branching order. Incremental
 // encoders use it to splice fresh selector and Tseitin variables into a
-// live solver when a snapshot delta adds facts.
+// live solver when a snapshot delta adds facts, one variable at a time:
+// every per-variable table, the watch table included, grows by append,
+// so a run of single-variable extensions costs amortized O(1) each
+// rather than a copy of the whole table per call.
 func (s *Solver) ExtendVars(n int) {
 	if n <= s.nVars {
 		return
 	}
-	w := make([][]*clause, 2*(n+1))
-	copy(w, s.watches)
-	s.watches = w
 	grow := n - s.nVars
+	s.watches = append(s.watches, make([][]*clause, 2*grow)...)
 	s.assign = append(s.assign, make([]int8, grow)...)
 	s.level = append(s.level, make([]int, grow)...)
 	s.reason = append(s.reason, make([]*clause, grow)...)
 	s.activity = append(s.activity, make([]float64, grow)...)
 	s.phase = append(s.phase, make([]int8, grow)...)
+	s.seen = append(s.seen, make([]bool, grow)...)
 	s.orderPos = append(s.orderPos, make([]int32, grow)...)
 	for v := s.nVars + 1; v <= n; v++ {
 		s.orderInsert(int32(v))
@@ -262,7 +273,10 @@ func (s *Solver) RootUnsat() bool { return s.rootUnsat }
 // weakening clauses: learned clauses (and root units asserted by them)
 // are consequences of the strong formula and may not hold of the weaker
 // one, while assignments propagated purely from surviving problem
-// clauses are re-derived from the re-propagation this schedules.
+// clauses are re-derived from the re-propagation this schedules. The
+// dropped clauses' watch entries are removed lazily, by propagation or
+// by an occasional full sweep, so a purge costs O(trail + learned)
+// rather than a pass over every watch list.
 func (s *Solver) PurgeLearnts() {
 	s.cancelUntil(0)
 	// Root assignments are trail-ordered, so everything from the first
@@ -283,8 +297,8 @@ func (s *Solver) PurgeLearnts() {
 	for _, c := range s.learnts {
 		c.removed = true
 	}
+	s.noteRemoved(len(s.learnts))
 	s.learnts = s.learnts[:0]
-	s.filterWatches()
 }
 
 // retractFrom unassigns every trail entry from index cut onward (a
@@ -342,9 +356,19 @@ func (s *Solver) RetractDepending(clauseIdx []int) {
 	s.retractFrom(cut)
 }
 
+// noteRemoved records n learned clauses just marked removed and sweeps
+// every watch list once the removed-but-unswept clauses outnumber the
+// problem clauses.
+func (s *Solver) noteRemoved(n int) {
+	if s.unswept += n; s.unswept > len(s.clauses) {
+		s.filterWatches()
+	}
+}
+
 // filterWatches compacts every watch list, dropping clauses marked
 // removed.
 func (s *Solver) filterWatches() {
+	s.unswept = 0
 	for i, ws := range s.watches {
 		n := 0
 		for _, c := range ws {
@@ -386,20 +410,16 @@ func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].act < s.learnts[j].act })
 	half := len(s.learnts) / 2
 	n := 0
-	removed := false
 	for i, c := range s.learnts {
 		if i < half && len(c.lits) > 2 && !s.locked(c) {
 			c.removed = true
-			removed = true
 			continue
 		}
 		s.learnts[n] = c
 		n++
 	}
+	s.noteRemoved(len(s.learnts) - n)
 	s.learnts = s.learnts[:n]
-	if removed {
-		s.filterWatches()
-	}
 }
 
 func litIndex(l int) int {
@@ -596,12 +616,19 @@ func (s *Solver) propagate() *clause {
 		l := s.trail[s.qhead]
 		s.qhead++
 		s.propagations++
-		// Clauses watching ¬l must be updated.
+		// Clauses watching ¬l must be updated. The list is compacted in
+		// place: a clause that moves its watch moves it to a literal that
+		// is not false, so never onto ¬l's own list, and the kept entries
+		// keep their order. Entries of removed learned clauses are
+		// dropped here (see noteRemoved).
 		negIdx := litIndex(-l)
 		ws := s.watches[negIdx]
-		var kept []*clause
+		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
+			if c.removed {
+				continue
+			}
 			// Find the two watched literals; by convention they are
 			// kept in lits[0], lits[1].
 			if len(c.lits) >= 2 {
@@ -727,7 +754,7 @@ func (s *Solver) bumpVar(v int) {
 // clause (with the asserting literal first) and the backjump level.
 func (s *Solver) analyze(confl *clause) ([]int, int) {
 	learnt := []int{0} // placeholder for asserting literal
-	seen := make([]bool, s.nVars+1)
+	seen := s.seen
 	counter := 0
 	var p int
 	idx := len(s.trail) - 1
@@ -769,10 +796,14 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 		idx--
 	}
 
-	// Backjump level = max level among learnt[1:].
+	// Backjump level = max level among learnt[1:]. Their marks are the
+	// only ones still set (every current-level mark was cleared as it
+	// was resolved), so clearing them leaves seen all false.
 	back := 0
 	for i := 1; i < len(learnt); i++ {
-		if lv := s.level[abs(learnt[i])]; lv > back {
+		v := abs(learnt[i])
+		seen[v] = false
+		if lv := s.level[v]; lv > back {
 			back = lv
 		}
 	}

@@ -180,6 +180,16 @@ func bruteForce(nVars int, clauses [][]int) bool {
 	return false
 }
 
+// modelSatisfies reports whether model m satisfies clause cl.
+func modelSatisfies(m []bool, cl []int) bool {
+	for _, l := range cl {
+		if v := abs(l); m[v] == (l > 0) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for it := 0; it < 600; it++ {
