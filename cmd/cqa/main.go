@@ -10,10 +10,8 @@
 //	cqa solve -q <query> (-db <file.csv> | -facts "R(a,b) ...") [-method M] [-cex]
 //	cqa plan -q <query>
 //	cqa batch [-file reqs.txt] [-workers N] [-format lines|ndjson|csv]
-//	          [-max-line BYTES] [-shard-size N] [-compile-workers N]
-//	          [-solve-workers N] [-parallel-threshold N] [-stats]
-//	cqa serve [-addr HOST:PORT] [-solve-workers N] [-parallel-threshold N]
-//	          [-router-workers N] [-queue-depth N] [-window N]
+//	          [-max-line BYTES] [-shard-size N] [-compile-workers N] [-stats]
+//	cqa serve [-addr HOST:PORT] [-router-workers N] [-queue-depth N] [-window N]
 //	cqa rewrite -q <query>
 //	cqa language -q <query> [-max N]
 //	cqa nfa -q <query>
@@ -89,14 +87,12 @@ func usage() {
   cqa plan -q Q                    compiled execution plan for q
   cqa batch [-file F] [-workers N] [-format lines|ndjson|csv]
             [-max-line BYTES] [-shard-size N] [-compile-workers N]
-            [-solve-workers N] [-parallel-threshold N]
             [-stats]               decide a request batch; ndjson reads
                                    {"query":..., "facts":[...]} lines and
                                    streams one-line-JSON results; csv reads
                                    id,query,rel,key,val fact rows grouped
                                    by request id
-  cqa serve [-addr A] [-solve-workers N] [-parallel-threshold N]
-            [-router-workers N] [-queue-depth N] [-window N]
+  cqa serve [-addr A] [-router-workers N] [-queue-depth N] [-window N]
                                    resident HTTP/NDJSON daemon over named
                                    instances (see docs/serving.md)
   cqa rewrite -q Q                 consistent FO rewriting (FO class only)
@@ -226,7 +222,6 @@ func cmdPlan(args []string) error {
 func cmdBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	file := fs.String("file", "", "request file (default: stdin)")
-	engineConfig := engineFlags(fs)
 	workers := fs.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
 	shardSize := fs.Int("shard-size", 0, fmt.Sprintf("requests per batch shard (default %d)", cqa.DefaultBatchShardSize))
 	compileWorkers := fs.Int("compile-workers", 0, "concurrent plan compilations in the batch pre-pass (default: workers)")
@@ -250,9 +245,7 @@ func cmdBatch(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	cfg := engineConfig()
-	cfg.Workers, cfg.BatchShardSize, cfg.CompileWorkers = *workers, *shardSize, *compileWorkers
-	eng := cqa.NewEngine(cfg)
+	eng := cqa.NewEngine(cqa.EngineConfig{Workers: *workers, BatchShardSize: *shardSize, CompileWorkers: *compileWorkers})
 	lr := newLineReader(r, *maxLine)
 
 	run := batchLines
@@ -275,23 +268,6 @@ func cmdBatch(args []string) error {
 		fmt.Fprintln(summaryTo, statsComment(eng.Stats()))
 	}
 	return nil
-}
-
-// engineFlags registers the flags that tune every decision —
-// intra-query parallelism on giant instances — and returns the
-// EngineConfig they set. Both subcommands that evaluate queries (batch,
-// serve) build their Engine from it, so these flags cannot diverge
-// between deployment shapes; batch adds the CertainBatch pool sizes,
-// which the daemon never uses.
-func engineFlags(fs *flag.FlagSet) func() cqa.EngineConfig {
-	solveWorkers := fs.Int("solve-workers", 0, "intra-query workers for partitioned solves on giant instances (default: GOMAXPROCS; 1 disables)")
-	parallelThreshold := fs.Int("parallel-threshold", 0, "fact count at which a solve engages -solve-workers (default: engine default; <0 forces)")
-	return func() cqa.EngineConfig {
-		return cqa.EngineConfig{
-			SolveWorkers:      *solveWorkers,
-			ParallelThreshold: *parallelThreshold,
-		}
-	}
 }
 
 // statsComment renders the engine's unified Stats snapshot as

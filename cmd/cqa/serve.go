@@ -24,16 +24,13 @@ const drainTimeout = 30 * time.Second
 // over a registry of named instances, with the persistent shard router
 // keeping every instance's operations on one resident worker and the
 // bounded heavy lane absorbing coNP/SAT-bound decisions (see
-// docs/serving.md). The engine is configured through the same
-// engineFlags as `cqa batch`, so the decision-tuning flags behave
-// identically in both deployment shapes. On SIGINT/SIGTERM the daemon
-// stops accepting, drains in-flight work, prints the final stats
-// snapshot to stderr, and exits — non-zero if the drain timed out,
-// logging how much queued work was abandoned.
+// docs/serving.md). On SIGINT/SIGTERM the daemon stops accepting,
+// drains in-flight work, prints the final stats snapshot to stderr,
+// and exits — non-zero if the drain timed out, logging how much queued
+// work was abandoned.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8417", "listen address")
-	engineConfig := engineFlags(fs)
 	routerWorkers := fs.Int("router-workers", 0, "resident router workers (default: GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, fmt.Sprintf("per-worker task queue bound (default %d)", server.DefaultQueueDepth))
 	heavyWorkers := fs.Int("heavy-workers", 0, "heavy-lane workers for coNP/SAT-bound requests (default: router-workers/4, min 1)")
@@ -44,7 +41,7 @@ func cmdServe(args []string) error {
 	memSoftLimit := fs.Int64("mem-soft-limit", 0, "soft heap watermark in bytes; above it the tier memo budgets shrink so decisions degrade to cold builds instead of growing toward an OOM kill (0: disabled)")
 	fs.Parse(args)
 
-	eng := cqa.NewEngine(engineConfig())
+	eng := cqa.NewEngine(cqa.EngineConfig{})
 	srv := server.New(server.Config{
 		Registry:        cqa.NewRegistry(eng),
 		RouterWorkers:   *routerWorkers,

@@ -80,7 +80,9 @@
 // CertainOptCtx, Plan.ExecuteCtx — that checks cancellation before
 // dispatch and polls it inside the long-running tiers (the batch
 // dispatcher between requests, the SAT search loop between conflicts).
-// The context-free forms are thin wrappers over context.Background().
+// The context-free forms decide exactly like their twins under
+// context.Background(), giant snapshots sharded alike, but propagate a
+// panicking decision instead of recovering it into ErrPanic.
 //
 // For resident deployments, a Registry holds named, long-lived
 // instances behind per-instance read-write locks: queries evaluate
@@ -138,15 +140,6 @@ type EngineConfig struct {
 	// dispatch overhead; smaller shards balance load across workers.
 	// 0 (or negative) means DefaultBatchShardSize.
 	BatchShardSize int
-	// SolveWorkers is the intra-query worker count for the partitioned
-	// fixpoint/NL passes on giant instances (see Options.SolveWorkers).
-	// 0 means runtime.GOMAXPROCS(0); 1 disables intra-query parallelism.
-	SolveWorkers int
-	// ParallelThreshold is the minimum interned fact count at which a
-	// decision engages SolveWorkers. 0 means DefaultParallelThreshold; a
-	// negative value forces the partitioned path on every non-empty
-	// instance (used by equivalence tests and calibration runs).
-	ParallelThreshold int
 }
 
 // DefaultPlanCacheSize is the plan-cache bound used when
@@ -157,13 +150,6 @@ const DefaultPlanCacheSize = 256
 // EngineConfig.BatchShardSize is 0.
 const DefaultBatchShardSize = 32
 
-// DefaultParallelThreshold is the fact count above which decisions
-// engage the partitioned solver when EngineConfig.ParallelThreshold is
-// 0. Below it the per-round fork/merge overhead of the sharded passes
-// exceeds the whole solve; the default is calibrated so the crossover
-// sits safely inside the single-core regime on commodity cores.
-const DefaultParallelThreshold = 1 << 16
-
 // Engine evaluates CERTAINTY(q, db) through an LRU cache of compiled
 // plans keyed by the query word, plus a worker pool for batch
 // evaluation. The zero value is not usable; construct with NewEngine.
@@ -173,8 +159,6 @@ type Engine struct {
 	workers        int
 	compileWorkers int
 	shardSize      int
-	solveWorkers   int
-	parThreshold   int // 0: engage on any non-empty instance (forced)
 
 	// compiles counts plan.Compile executions, shards batch shards
 	// dispatched; both are incremented outside the cache lock.
@@ -220,21 +204,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.BatchShardSize <= 0 {
 		cfg.BatchShardSize = DefaultBatchShardSize
 	}
-	if cfg.SolveWorkers <= 0 {
-		cfg.SolveWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ParallelThreshold == 0 {
-		cfg.ParallelThreshold = DefaultParallelThreshold
-	} else if cfg.ParallelThreshold < 0 {
-		cfg.ParallelThreshold = 0
-	}
 	e := &Engine{
 		capacity:       cfg.PlanCacheSize,
 		workers:        cfg.Workers,
 		compileWorkers: cfg.CompileWorkers,
 		shardSize:      cfg.BatchShardSize,
-		solveWorkers:   cfg.SolveWorkers,
-		parThreshold:   cfg.ParallelThreshold,
 		order:          list.New(),
 		index:          make(map[string]*list.Element),
 	}
@@ -278,7 +252,7 @@ func (e *Engine) MemoScale() float64 {
 
 // Compile returns the cached plan for q, compiling it on first use.
 func (e *Engine) Compile(q Query) *Plan {
-	key := q.String()
+	key := q.Key()
 	e.mu.Lock()
 	if el, ok := e.index[key]; ok {
 		e.order.MoveToFront(el)
@@ -329,15 +303,6 @@ func (e *Engine) execute(ctx context.Context, p *Plan, db *Instance, opts Option
 			err = fmt.Errorf("%w: %v", ErrPanic, r)
 		}
 	}()
-	// Fill the parallelism knobs a caller left at zero from the engine
-	// configuration; an explicit per-request value (e.g. SolveWorkers 1
-	// to pin a decision single-core) passes through untouched.
-	if opts.SolveWorkers == 0 {
-		opts.SolveWorkers = e.solveWorkers
-	}
-	if opts.ParallelThreshold == 0 {
-		opts.ParallelThreshold = e.parThreshold
-	}
 	return p.ExecuteCtx(ctx, db, opts)
 }
 
@@ -424,7 +389,7 @@ func (e *Engine) certainBatchSharded(ctx context.Context, reqs []Request, out []
 	byWord := make(map[string]*batchGroup)
 	var groups []*batchGroup
 	for i, r := range reqs {
-		key := r.Query.String()
+		key := r.Query.Key()
 		g := byWord[key]
 		if g == nil {
 			g = &batchGroup{query: r.Query}

@@ -54,6 +54,43 @@ func TestEngineCompileReturnsSamePlan(t *testing.T) {
 	}
 }
 
+// TestEngineKeysPlansByWord pins that the plan cache and the batch
+// grouping tell apart words whose display strings collide: "Ab" (one
+// relation Ab) and "A b" (A, then b) both render as "Ab", and "AB,"
+// (one relation AB) and "AB" (A, then B) both render as "AB". Each word
+// must get its own plan and the answer a fresh engine gives.
+func TestEngineKeysPlansByWord(t *testing.T) {
+	db, err := ParseFacts("A(0,1) b(1,2) AB(0,1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(q Query) bool { return NewEngine(EngineConfig{}).Certain(q, db).Certain }
+	eng := NewEngine(EngineConfig{})
+	var reqs []Request
+	var names []string
+	for _, pair := range [][2]string{{"Ab", "A b"}, {"AB,", "AB"}} {
+		q0, q1 := MustParseQuery(pair[0]), MustParseQuery(pair[1])
+		if q0.String() != q1.String() || want(q0) == want(q1) {
+			t.Fatalf("%q and %q must render alike and decide apart on %v", pair[0], pair[1], db)
+		}
+		if eng.Compile(q0) == eng.Compile(q1) {
+			t.Errorf("%q and %q share one cached plan", pair[0], pair[1])
+		}
+		for i, q := range []Query{q0, q1} {
+			if got := eng.Certain(q, db).Certain; got != want(q) {
+				t.Errorf("%q after its twin: certain = %v, fresh engine says %v", pair[i], got, want(q))
+			}
+			reqs = append(reqs, Request{Query: q, DB: db})
+			names = append(names, pair[i])
+		}
+	}
+	for i, res := range NewEngine(EngineConfig{}).CertainBatch(context.Background(), reqs) {
+		if q := reqs[i].Query; res.Err != nil || res.Certain != want(q) {
+			t.Errorf("batch request %q: certain = %v, err = %v, fresh engine says %v", names[i], res.Certain, res.Err, want(q))
+		}
+	}
+}
+
 func TestEngineLRUEviction(t *testing.T) {
 	eng := NewEngine(EngineConfig{PlanCacheSize: 2})
 	db := NewInstance()

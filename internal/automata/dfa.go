@@ -21,16 +21,6 @@ type DFA struct {
 // NumStates returns the number of explicit states.
 func (d *DFA) NumStates() int { return len(d.Trans) }
 
-// Step returns the successor of state s on sym; ok is false for the dead
-// state.
-func (d *DFA) Step(s int, sym string) (int, bool) {
-	if s < 0 || s >= len(d.Trans) {
-		return -1, false
-	}
-	t, ok := d.Trans[s][sym]
-	return t, ok
-}
-
 // AcceptsWord reports whether d accepts w.
 func (d *DFA) AcceptsWord(w words.Word) bool {
 	s := d.Start

@@ -220,8 +220,6 @@ func (c *Compiled) Solve(ctx context.Context, iv *instance.Interned, e *Encoding
 		res.Certain = true
 	case sat.Canceled:
 		return nil, ctx.Err()
-	default:
-		panic("conp: solver returned UNKNOWN without a conflict budget")
 	}
 	return res, nil
 }

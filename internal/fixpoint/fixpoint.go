@@ -26,6 +26,7 @@ import (
 	"cqa/internal/automata"
 	"cqa/internal/bitset"
 	"cqa/internal/instance"
+	"cqa/internal/par"
 	"cqa/internal/words"
 )
 
@@ -213,11 +214,46 @@ func buildPos(iv *instance.Interned, rid int32, nc int) *posBinding {
 }
 
 // Bind constructs the interned transition tables for iv from scratch,
-// sharing one segment across positions with the same relation. When
-// opts engages on iv (see SolveOptions) the per-relation segments build
-// concurrently; the binding is identical either way.
-func (cp *Compiled) Bind(iv *instance.Interned, opts SolveOptions) *Binding {
-	return cp.buildBinding(iv, opts.WorkersFor(iv))
+// sharing one segment across positions with the same relation. With
+// workers > 1 the per-relation segments build on up to workers
+// goroutines (distinct relations write disjoint posBindings); the
+// binding is identical either way.
+func (cp *Compiled) Bind(iv *instance.Interned, workers int) *Binding {
+	n := len(cp.q)
+	nc := iv.NumConsts()
+	b := &Binding{nc: nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
+	posRel := make([]int32, n) // rid per position, -1 when absent
+	slot := make(map[int32]int, n)
+	rids := make([]int32, 0, n)
+	for v := 0; v < n; v++ {
+		rid, ok := iv.RelID(cp.q[v])
+		if !ok {
+			posRel[v] = -1
+			continue
+		}
+		posRel[v] = rid
+		if _, dup := slot[rid]; !dup {
+			slot[rid] = len(rids)
+			rids = append(rids, rid)
+		}
+	}
+	built := make([]*posBinding, len(rids))
+	if workers > len(rids) {
+		workers = len(rids)
+	}
+	rb := par.Blocks(len(rids), workers, 1)
+	par.Run(len(rb)-1, func(w int) {
+		for i := rb[w]; i < rb[w+1]; i++ {
+			built[i] = buildPos(iv, rids[i], nc)
+		}
+	})
+	for v := 0; v < n; v++ {
+		if posRel[v] >= 0 {
+			b.pos[v] = built[slot[posRel[v]]]
+		}
+	}
+	b.finalize()
+	return b
 }
 
 // Rebind derives iv's binding from an ancestor's (the lineage repair):
@@ -301,7 +337,7 @@ func (cp *Compiled) Solve(db *instance.Instance) *Result {
 // SolveInterned is Solve on an interned snapshot directly: it binds iv
 // from scratch and runs the single-core worklist.
 func (cp *Compiled) SolveInterned(iv *instance.Interned) *Result {
-	return cp.solve(iv, cp.Bind(iv, SolveOptions{}))
+	return cp.solve(iv, cp.Bind(iv, 1))
 }
 
 // solve is the single-core worklist over a binding of iv.

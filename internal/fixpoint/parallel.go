@@ -10,33 +10,6 @@ import (
 	"cqa/internal/par"
 )
 
-// SolveOptions tunes one solve call's intra-query parallelism. The
-// zero value keeps the single-core path: the partitioned solver
-// engages only when Workers > 1 and the instance holds at least
-// Threshold facts (so a Threshold of 0 forces it on any non-empty
-// instance — the equivalence tests use that to exercise the parallel
-// path on small inputs).
-type SolveOptions struct {
-	// Workers is the shard/worker count for the partitioned passes.
-	Workers int
-	// Threshold is the minimum NumFacts at which Workers engages.
-	Threshold int
-}
-
-// Engaged reports whether opts selects the partitioned path for iv.
-func (o SolveOptions) Engaged(iv *instance.Interned) bool {
-	return o.Workers > 1 && iv.NumFacts() >= o.Threshold && iv.NumConsts() > 0
-}
-
-// WorkersFor is the worker count opts engages on iv: Workers when it
-// engages, 1 otherwise.
-func (o SolveOptions) WorkersFor(iv *instance.Interned) int {
-	if o.Engaged(iv) {
-		return o.Workers
-	}
-	return 1
-}
-
 // ParallelStats counts uses of the partitioned path.
 type ParallelStats struct {
 	// Solves is the number of solves (or NL binding builds) that
@@ -66,28 +39,22 @@ func (c *Compiled) ParallelStats() ParallelStats {
 // chain link.
 const drainThreshold = 4096
 
-// SolveInternedCtx is SolveInterned with cancellation and parallelism:
-// it binds iv from scratch and solves with SolveBound.
-func (cp *Compiled) SolveInternedCtx(ctx context.Context, iv *instance.Interned, opts SolveOptions) (*Result, error) {
-	return cp.SolveBound(ctx, iv, cp.Bind(iv, opts), opts)
-}
-
 // SolveBound runs the worklist over b, a binding of iv (from Bind or
-// Rebind). When opts engages (see SolveOptions), initialization, the
-// Iterative Rule frontier scan, and the result extraction are sharded
-// by constant-id range across a worker pool, with per-shard frontier
-// accumulators merged word-wise per round; ctx is polled between
-// rounds, so a mid-solve cancellation aborts without publishing a
-// partial result (b itself is never written). When opts does not
-// engage, this is the single-core worklist.
-func (cp *Compiled) SolveBound(ctx context.Context, iv *instance.Interned, b *Binding, opts SolveOptions) (*Result, error) {
+// Rebind). With workers > 1 on a non-empty snapshot, initialization,
+// the Iterative Rule frontier scan, and the result extraction are
+// sharded by constant-id range across workers goroutines, with
+// per-shard frontier accumulators merged word-wise per round; ctx is
+// polled between rounds, so a mid-solve cancellation aborts without
+// publishing a partial result (b itself is never written). Otherwise
+// this is the single-core worklist.
+func (cp *Compiled) SolveBound(ctx context.Context, iv *instance.Interned, b *Binding, workers int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(cp.q) == 0 || !opts.Engaged(iv) {
+	if len(cp.q) == 0 || workers <= 1 || iv.NumConsts() == 0 {
 		return cp.solve(iv, b), nil
 	}
-	return cp.solveParallel(ctx, iv, b, opts.Workers)
+	return cp.solveParallel(ctx, iv, b, workers)
 }
 
 // solveParallel is the partitioned worklist solver. Each round is a
@@ -324,46 +291,4 @@ func (cp *Compiled) drainSequential(b *Binding, bits, frontier bitset.Bits, pend
 			}
 		}
 	}
-}
-
-// buildBinding builds iv's binding from scratch with the per-relation
-// segments built on up to workers goroutines (distinct relations write
-// disjoint posBindings); one segment is shared across positions with
-// the same relation.
-func (cp *Compiled) buildBinding(iv *instance.Interned, workers int) *Binding {
-	n := len(cp.q)
-	nc := iv.NumConsts()
-	b := &Binding{nc: nc, pos: make([]*posBinding, n), base: make([]int32, n+1)}
-	posRel := make([]int32, n) // rid per position, -1 when absent
-	slot := make(map[int32]int, n)
-	rids := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		rid, ok := iv.RelID(cp.q[v])
-		if !ok {
-			posRel[v] = -1
-			continue
-		}
-		posRel[v] = rid
-		if _, dup := slot[rid]; !dup {
-			slot[rid] = len(rids)
-			rids = append(rids, rid)
-		}
-	}
-	built := make([]*posBinding, len(rids))
-	if workers > len(rids) {
-		workers = len(rids)
-	}
-	rb := par.Blocks(len(rids), workers, 1)
-	par.Run(len(rb)-1, func(w int) {
-		for i := rb[w]; i < rb[w+1]; i++ {
-			built[i] = buildPos(iv, rids[i], nc)
-		}
-	})
-	for v := 0; v < n; v++ {
-		if posRel[v] >= 0 {
-			b.pos[v] = built[slot[posRel[v]]]
-		}
-	}
-	b.finalize()
-	return b
 }

@@ -45,8 +45,7 @@ func equivCases() []struct {
 // TestSolveParallelEquivalence checks the partitioned solver against
 // the sequential worklist as oracle: identical Certain, Starts, start
 // bitset, and full relation N, across queries of every class and
-// several worker counts, with Threshold 0 forcing the parallel path on
-// instances of any size.
+// several worker counts, on instances of any size.
 func TestSolveParallelEquivalence(t *testing.T) {
 	queries := []string{"R", "RRX", "RXRX", "RXRYRY", "RRRRRRRRX", "AXRRY"}
 	for _, qs := range queries {
@@ -59,7 +58,7 @@ func TestSolveParallelEquivalence(t *testing.T) {
 					// A fresh Compiled per run so the parallel binding build
 					// (not a memo hit on the oracle's) is exercised.
 					cp := Compile(q)
-					got, err := cp.SolveInternedCtx(context.Background(), iv, SolveOptions{Workers: workers})
+					got, err := cp.SolveBound(context.Background(), iv, cp.Bind(iv, workers), workers)
 					if err != nil {
 						t.Fatalf("parallel solve: %v", err)
 					}
@@ -91,29 +90,26 @@ func TestSolveParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSolveParallelDisengaged checks the option gate: Workers <= 1 or
-// an unmet threshold must keep the single-core path (no engaged-solve
-// counters) while returning the same result.
+// TestSolveParallelDisengaged checks that a worker count of at most 1
+// keeps the single-core path (no engaged-solve counters) while
+// returning the same result. Which snapshots get more than one worker
+// is the plan's rule (internal/plan's TestSolveWorkersRule).
 func TestSolveParallelDisengaged(t *testing.T) {
 	q := words.MustParse("RRX")
 	db := workload.Figure2Family(50)
 	iv := db.Interned()
 	want := Compile(q).SolveInterned(iv)
-	for _, opts := range []SolveOptions{
-		{},
-		{Workers: 1},
-		{Workers: 8, Threshold: iv.NumFacts() + 1},
-	} {
+	for _, workers := range []int{0, 1} {
 		cp := Compile(q)
-		got, err := cp.SolveInternedCtx(context.Background(), iv, opts)
+		got, err := cp.SolveBound(context.Background(), iv, cp.Bind(iv, workers), workers)
 		if err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if got.Certain != want.Certain || !got.bits.Equal(want.bits) {
-			t.Fatalf("opts %+v: sequential-path result differs", opts)
+			t.Fatalf("workers %d: sequential-path result differs", workers)
 		}
 		if s := cp.ParallelStats(); s.Solves != 0 || s.Shards != 0 {
-			t.Fatalf("opts %+v: ParallelStats = %+v, want zero", opts, s)
+			t.Fatalf("workers %d: ParallelStats = %+v, want zero", workers, s)
 		}
 	}
 }
@@ -149,13 +145,13 @@ func TestSolveParallelCancellation(t *testing.T) {
 	}
 	iv := db.Interned()
 	cp := Compile(words.MustParse("R"))
-	opts := SolveOptions{Workers: 4}
-	b := cp.Bind(iv, opts)
+	const workers = 4
+	b := cp.Bind(iv, workers)
 
 	// Sanity: uncancelled parallel solve matches sequential and polls
 	// more than twice (entry + at least two rounds).
 	probe := &stepCtx{limit: 1 << 30}
-	res, err := cp.SolveBound(probe, iv, b, opts)
+	res, err := cp.SolveBound(probe, iv, b, workers)
 	if err != nil || res == nil {
 		t.Fatalf("uncancelled solve: %v", err)
 	}
@@ -165,7 +161,7 @@ func TestSolveParallelCancellation(t *testing.T) {
 
 	// Cancel at the second round's poll: after real parallel work, before
 	// completion.
-	res2, err := cp.SolveBound(&stepCtx{limit: 2}, iv, b, opts)
+	res2, err := cp.SolveBound(&stepCtx{limit: 2}, iv, b, workers)
 	if err != context.Canceled {
 		t.Fatalf("cancelled solve: err = %v, want context.Canceled", err)
 	}
@@ -174,12 +170,12 @@ func TestSolveParallelCancellation(t *testing.T) {
 	}
 
 	// Entry-cancelled: no work at all.
-	if _, err := cp.SolveBound(&stepCtx{limit: 0}, iv, b, opts); err != context.Canceled {
+	if _, err := cp.SolveBound(&stepCtx{limit: 0}, iv, b, workers); err != context.Canceled {
 		t.Fatalf("entry cancel: err = %v", err)
 	}
 
 	// Retry after cancellation succeeds on the same binding.
-	res3, err := cp.SolveBound(context.Background(), iv, b, opts)
+	res3, err := cp.SolveBound(context.Background(), iv, b, workers)
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}

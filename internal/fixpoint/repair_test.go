@@ -31,7 +31,7 @@ func (s *memoSolver) bind(iv *instance.Interned) *Binding {
 		func(parent *Binding, touched []instance.BlockRef) (*Binding, bool) {
 			return s.cp.Rebind(parent, iv, touched), true
 		},
-		func() *Binding { return s.cp.Bind(iv, SolveOptions{}) })
+		func() *Binding { return s.cp.Bind(iv, 1) })
 }
 
 func (s *memoSolver) Solve(db *instance.Instance) *Result {

@@ -75,23 +75,30 @@ func TestUnboundVariablePanics(t *testing.T) {
 	Eval(instance.New(), Atom{"R", Var("x"), Var("y")})
 }
 
+// certainDP decides CERTAINTY(q) as the plan's FO tier does: the
+// Lemma 12 DP that evaluates the Lemma 13 rewriting leaves some certain
+// start. It decides correctly iff q satisfies C1.
+func certainDP(db *instance.Instance, q words.Word) bool {
+	return len(q) == 0 || CertainStartsBits(db.Interned(), q).Count() > 0
+}
+
 func TestRewriteRRisSection1Formula(t *testing.T) {
-	// For q = RR satisfying C1, IsCertainFO must agree with exhaustive
+	// For q = RR satisfying C1, the DP must agree with exhaustive
 	// repair checking; the paper gives the rewriting φ explicitly.
 	q := words.MustParse("RR")
 	yes := instance.MustParseFacts("R(a,b) R(b,c)")
-	if !IsCertainFO(yes, q) || !repairs.IsCertain(yes, q) {
+	if !certainDP(yes, q) || !repairs.IsCertain(yes, q) {
 		t.Error("chain of two R-edges certainly satisfies RR")
 	}
 	no := instance.MustParseFacts("R(a,b) R(a,c) R(b,x)")
 	// Repair {R(a,c), R(b,x)} has no RR path.
-	if IsCertainFO(no, q) != repairs.IsCertain(no, q) {
+	if certainDP(no, q) != repairs.IsCertain(no, q) {
 		t.Error("FO and exhaustive disagree")
 	}
 	// Constructed formula evaluates identically.
 	f := RewriteCertain(q)
 	for _, db := range []*instance.Instance{yes, no} {
-		if Eval(db, f) != IsCertainFO(db, q) {
+		if Eval(db, f) != certainDP(db, q) {
 			t.Errorf("AST evaluation and DP disagree on %s", db)
 		}
 	}
@@ -223,7 +230,7 @@ func TestRewriteASTAgreesWithDP(t *testing.T) {
 			db.AddFact(rel, string(rune('a'+rng.Intn(3))), string(rune('a'+rng.Intn(3))))
 		}
 		for _, q := range queries {
-			if got, want := Eval(db, RewriteCertain(q)), IsCertainFO(db, q); got != want {
+			if got, want := Eval(db, RewriteCertain(q)), certainDP(db, q); got != want {
 				t.Fatalf("it=%d db=%s q=%v: AST=%v DP=%v", it, db, q, got, want)
 			}
 		}
@@ -264,7 +271,7 @@ func TestTerminalSet(t *testing.T) {
 func TestEmptyQuery(t *testing.T) {
 	db := instance.MustParseFacts("R(a,b)")
 	psi := RewriteCertainAt(words.Word{}, "x")
-	if !IsCertainFO(db, words.Word{}) || !EvalWith(db, psi, map[string]string{"x": "zzz"}) {
+	if !certainDP(db, words.Word{}) || !EvalWith(db, psi, map[string]string{"x": "zzz"}) {
 		t.Error("empty query is certain everywhere")
 	}
 	if iv := db.Interned(); CertainStartsBits(iv, words.Word{}).Count() != iv.NumConsts() {

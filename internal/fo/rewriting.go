@@ -3,7 +3,6 @@ package fo
 import (
 	"fmt"
 
-	"cqa/internal/instance"
 	"cqa/internal/words"
 )
 
@@ -67,12 +66,4 @@ func RewriteCertain(q words.Word) Formula {
 		return Truth{Value: true}
 	}
 	return Exists{Var: "x", F: RewriteCertainAt(q, "x")}
-}
-
-// IsCertainFO decides CERTAINTY(q) using the Lemma 13 rewriting,
-// evaluated as the interned Lemma 12 DP (CertainStartsBits). It is a
-// correct decision procedure iff q satisfies C1; callers must check
-// classification first (the cqa facade does).
-func IsCertainFO(db *instance.Instance, q words.Word) bool {
-	return len(q) == 0 || CertainStartsBits(db.Interned(), q).Count() > 0
 }

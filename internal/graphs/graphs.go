@@ -58,9 +58,6 @@ func (g *Digraph) Edges() [][2]string {
 	return out
 }
 
-// Succ returns the successors of v.
-func (g *Digraph) Succ(v string) []string { return g.adj[v] }
-
 // NumVertices returns the vertex count.
 func (g *Digraph) NumVertices() int { return len(g.vset) }
 

@@ -76,8 +76,8 @@ func (b BlockID) String() string { return fmt.Sprintf("%s(%s,*)", b.Rel, b.Key) 
 // indexes. The zero value is not ready for use; call New.
 //
 // An Instance is safe for concurrent READS (the accessors memoize their
-// sorted views in an atomic snapshot); mutating methods (Add, Remove,
-// AddAll) must not race with readers or each other.
+// sorted views in an atomic snapshot); mutating methods (Add, AddFact,
+// Remove) must not race with readers or each other.
 type Instance struct {
 	facts  map[Fact]struct{}
 	blocks map[BlockID][]string // block -> sorted distinct vals
@@ -260,14 +260,6 @@ func (db *Instance) AddFact(rel, key, val string) *Instance {
 	return db.Add(Fact{rel, key, val})
 }
 
-// AddAll inserts all facts of other into db.
-func (db *Instance) AddAll(other *Instance) *Instance {
-	for f := range other.facts {
-		db.Add(f)
-	}
-	return db
-}
-
 // Remove deletes fact f if present.
 func (db *Instance) Remove(f Fact) {
 	if _, ok := db.facts[f]; !ok {
@@ -354,12 +346,6 @@ func (db *Instance) Adom() []string {
 	sort.Strings(out)
 	c.adom = out
 	return db.publish(c).adom
-}
-
-// InAdom reports whether constant c occurs in db.
-func (db *Instance) InAdom(c string) bool {
-	_, ok := db.adom[c]
-	return ok
 }
 
 // Relations returns the relation names occurring in db, sorted. The

@@ -34,18 +34,16 @@ func TestDatalogAgreesWithDirectSolver(t *testing.T) {
 		words.MustParse("RXY"), words.MustParse("YYRR"), words.MustParse("RRRX"),
 		words.MustParse("XRX"),
 	}
+	evs := mustEvaluators(t, queries)
 	rng := rand.New(rand.NewSource(91))
 	for it := 0; it < 80; it++ {
 		db := randomInstance(rng, []string{"R", "X", "Y"}, 10, 4)
-		for _, q := range queries {
+		for i, q := range queries {
 			gotDL, _, err := IsCertainDatalog(db, q)
 			if err != nil {
 				t.Fatalf("q=%v: %v", q, err)
 			}
-			gotDirect, _, err := IsCertain(db, q)
-			if err != nil {
-				t.Fatalf("q=%v: %v", q, err)
-			}
+			gotDirect := evs[i].IsCertain(db)
 			if gotDL != gotDirect {
 				t.Fatalf("it=%d db=%s q=%v: datalog=%v direct=%v", it, db, q, gotDL, gotDirect)
 			}

@@ -276,16 +276,11 @@ func newEvaluator(q words.Word, d *Decomposition) *Evaluator {
 func (e *Evaluator) Decomposition() *Decomposition { return e.d }
 
 // IsCertain decides CERTAINTY(q) on db with the precompiled machinery,
-// evaluating "∃c ∈ adom(db): ¬O(c)".
+// evaluating "∃c ∈ adom(db): ¬O(c)". It binds db's snapshot from
+// scratch, single-core, on every call.
 func (e *Evaluator) IsCertain(db *instance.Instance) bool {
-	return e.IsCertainOpts(db, fixpoint.SolveOptions{})
-}
-
-// IsCertainOpts is IsCertain with explicit parallel solve options (see
-// Bind); it binds db's snapshot from scratch on every call.
-func (e *Evaluator) IsCertainOpts(db *instance.Instance, opts fixpoint.SolveOptions) bool {
 	iv := db.Interned()
-	return e.Certain(iv, e.Bind(iv, opts))
+	return e.Certain(iv, e.Bind(iv, 1))
 }
 
 // Certain decides CERTAINTY(q) on iv from its binding b: certain iff
@@ -305,17 +300,6 @@ func (e *Evaluator) ParallelStats() fixpoint.ParallelStats {
 		s = s.Add(e.exit.ParallelStats())
 	}
 	return s
-}
-
-// IsCertain decides CERTAINTY(q) for a C2 query via the Lemma 14
-// procedure. It returns the decomposition used. An error means no
-// certified decomposition was found (fall back to the fixpoint tier).
-func IsCertain(db *instance.Instance, q words.Word) (bool, *Decomposition, error) {
-	e, err := NewEvaluator(q)
-	if err != nil {
-		return false, nil, err
-	}
-	return e.IsCertain(db), e.d, nil
 }
 
 // Binding holds the instance-bound artifacts of the Lemma 14 procedure
@@ -367,33 +351,32 @@ func (b *Binding) Bytes() int64 {
 // restricted loop-step graph, its cycle/terminal targets, reverse
 // reachability (P), and finally O via consistent pre-paths. Everything
 // is derived from iv alone, so the binding can never mix two snapshots.
-// When opts engages on iv (see fixpoint.SolveOptions), the exit-word
-// fixpoint, the Lemma 12 terminal DPs, the restricted loop-step graph,
-// and the reverse-reachability pass shard across opts.Workers (Tarjan's
-// SCC pass stays sequential); the binding is identical to the
-// single-core path's. The stages are the repair granularity of Rebind.
-func (e *Evaluator) Bind(iv *instance.Interned, opts fixpoint.SolveOptions) *Binding {
+// With workers > 1, the exit-word fixpoint, the Lemma 12 terminal DPs,
+// the restricted loop-step graph, and the reverse-reachability pass
+// shard across workers goroutines (Tarjan's SCC pass stays
+// sequential); the binding is identical to the single-core path's. The
+// stages are the repair granularity of Rebind.
+func (e *Evaluator) Bind(iv *instance.Interned, workers int) *Binding {
 	if e.d.Loop.IsEmpty() {
 		// Pure word (sjf or loop-free exit): O(c) = c terminal for the
 		// whole word, equivalently ¬(every repair has an accepted path
 		// from c), computed by the fixpoint sub-solver on the word.
-		b := &Binding{sub: e.whole.Bind(iv, opts)}
-		b.o = nonStarts(e.whole, iv, b.sub, opts)
+		b := &Binding{sub: e.whole.Bind(iv, workers)}
+		b.o = nonStarts(e.whole, iv, b.sub, workers)
 		return b
 	}
-	w := opts.WorkersFor(iv)
-	if w > 1 {
+	if workers > 1 {
 		e.parSolves.Add(1)
-		e.parShards.Add(uint64(w))
+		e.parShards.Add(uint64(workers))
 	}
-	b := &Binding{loopTerminal: fo.TerminalBitsetPar(iv, e.d.Loop, w)}
+	b := &Binding{loopTerminal: fo.TerminalBitsetPar(iv, e.d.Loop, workers)}
 	if e.exit != nil {
-		b.sub = e.exit.Bind(iv, opts)
+		b.sub = e.exit.Bind(iv, workers)
 	}
-	b.avoid = nonStarts(e.exit, iv, b.sub, opts)
-	b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, w)
-	b.p = e.computeP(b, w)
-	b.o = e.computeOW(iv, b.p, w)
+	b.avoid = nonStarts(e.exit, iv, b.sub, workers)
+	b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, workers)
+	b.p = e.computeP(b, workers)
+	b.o = e.computeOW(iv, b.p, workers)
 	return b
 }
 
@@ -404,7 +387,7 @@ func (e *Evaluator) Bind(iv *instance.Interned, opts fixpoint.SolveOptions) *Bin
 // with an equality cut: a recomputed stage that comes out identical to
 // the parent's stops the downstream cascade. Untouched stages alias the
 // parent's slices.
-func (e *Evaluator) Rebind(parent *Binding, iv *instance.Interned, touched []instance.BlockRef, opts fixpoint.SolveOptions) *Binding {
+func (e *Evaluator) Rebind(parent *Binding, iv *instance.Interned, touched []instance.BlockRef, workers int) *Binding {
 	touchExit, touchLoop, touchPre := false, false, false
 	for _, t := range touched {
 		rel := iv.Rel(t.Rel)
@@ -419,23 +402,22 @@ func (e *Evaluator) Rebind(parent *Binding, iv *instance.Interned, touched []ins
 	}
 	if e.d.Loop.IsEmpty() {
 		b := &Binding{sub: e.whole.Rebind(parent.sub, iv, touched)}
-		b.o = nonStarts(e.whole, iv, b.sub, opts)
+		b.o = nonStarts(e.whole, iv, b.sub, workers)
 		return b
 	}
-	w := opts.WorkersFor(iv)
 	b := &Binding{}
 
 	avoidChanged := false
 	if touchExit {
 		b.sub = e.exit.Rebind(parent.sub, iv, touched)
-		b.avoid = nonStarts(e.exit, iv, b.sub, opts)
+		b.avoid = nonStarts(e.exit, iv, b.sub, workers)
 		avoidChanged = !b.avoid.Equal(parent.avoid)
 	} else {
 		b.sub, b.avoid = parent.sub, parent.avoid
 	}
 
 	if touchLoop {
-		b.loopTerminal = fo.TerminalBitsetPar(iv, e.d.Loop, w)
+		b.loopTerminal = fo.TerminalBitsetPar(iv, e.d.Loop, workers)
 	} else {
 		b.loopTerminal = parent.loopTerminal
 	}
@@ -445,15 +427,15 @@ func (e *Evaluator) Rebind(parent *Binding, iv *instance.Interned, touched []ins
 		// The restricted graph reads the loop relations' blocks
 		// directly (WalkEnds), so a touched loop block forces a graph
 		// rebuild even when the terminal DP came out unchanged.
-		b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, w)
-		b.p = e.computeP(b, w)
+		b.adjStart, b.adjList = e.computeGraphW(iv, b.avoid, workers)
+		b.p = e.computeP(b, workers)
 		pChanged = !b.p.Equal(parent.p)
 	} else {
 		b.adjStart, b.adjList, b.p = parent.adjStart, parent.adjList, parent.p
 	}
 
 	if touchPre || pChanged {
-		b.o = e.computeOW(iv, b.p, w)
+		b.o = e.computeOW(iv, b.p, workers)
 	} else {
 		b.o = parent.o
 	}
@@ -467,13 +449,13 @@ func (e *Evaluator) Rebind(parent *Binding, iv *instance.Interned, touched []ins
 // ⪯q-minimal repair of Lemma 6, which minimizes start sets for all
 // constants simultaneously). A nil cp stands for an empty exit, which
 // cannot be avoided.
-func nonStarts(cp *fixpoint.Compiled, iv *instance.Interned, b *fixpoint.Binding, opts fixpoint.SolveOptions) bitset.Bits {
+func nonStarts(cp *fixpoint.Compiled, iv *instance.Interned, b *fixpoint.Binding, workers int) bitset.Bits {
 	nc := iv.NumConsts()
 	out := bitset.New(nc)
 	if cp != nil {
 		// The background context cannot fail the entry check, so the
 		// error is structurally nil.
-		res, _ := cp.SolveBound(context.Background(), iv, b, opts)
+		res, _ := cp.SolveBound(context.Background(), iv, b, workers)
 		out.NotFrom(res.StartBits(), nc)
 	}
 	return out

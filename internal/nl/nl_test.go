@@ -109,19 +109,32 @@ func randomInstance(rng *rand.Rand, alpha []string, maxFacts, domSize int) *inst
 	return db
 }
 
+// mustEvaluators compiles one evaluator per query, failing the test
+// when a query has no certified decomposition.
+func mustEvaluators(t *testing.T, queries []words.Word) []*Evaluator {
+	t.Helper()
+	evs := make([]*Evaluator, len(queries))
+	for i, q := range queries {
+		ev, err := NewEvaluator(q)
+		if err != nil {
+			t.Fatalf("q=%v: %v", q, err)
+		}
+		evs[i] = ev
+	}
+	return evs
+}
+
 // TestAgainstExhaustive differentially validates the NL solver against
 // exhaustive repair enumeration on every C2 query up to length 5 over
 // {R, X}.
 func TestAgainstExhaustive(t *testing.T) {
 	queries := allC2Queries([]string{"R", "X"}, 5)
+	evs := mustEvaluators(t, queries)
 	rng := rand.New(rand.NewSource(81))
 	for it := 0; it < 150; it++ {
 		db := randomInstance(rng, []string{"R", "X"}, 8, 4)
-		for _, q := range queries {
-			got, _, err := IsCertain(db, q)
-			if err != nil {
-				t.Fatalf("q=%v: %v", q, err)
-			}
+		for i, q := range queries {
+			got := evs[i].IsCertain(db)
 			want := repairs.IsCertain(db, q)
 			if got != want {
 				t.Fatalf("it=%d db=%s q=%v: nl=%v exhaustive=%v", it, db, q, got, want)
@@ -135,14 +148,12 @@ func TestAgainstExhaustive(t *testing.T) {
 // over a three-symbol alphabet.
 func TestAgainstFixpoint(t *testing.T) {
 	queries := allC2Queries([]string{"R", "X", "Y"}, 5)
+	evs := mustEvaluators(t, queries)
 	rng := rand.New(rand.NewSource(82))
 	for it := 0; it < 60; it++ {
 		db := randomInstance(rng, []string{"R", "X", "Y"}, 40, 8)
-		for _, q := range queries {
-			got, _, err := IsCertain(db, q)
-			if err != nil {
-				t.Fatalf("q=%v: %v", q, err)
-			}
+		for i, q := range queries {
+			got := evs[i].IsCertain(db)
 			want := fixpoint.Compile(q).Solve(db).Certain
 			if got != want {
 				t.Fatalf("it=%d db=%s q=%v: nl=%v fixpoint=%v", it, db, q, got, want)
@@ -153,12 +164,9 @@ func TestAgainstFixpoint(t *testing.T) {
 
 func TestFigure2ViaNL(t *testing.T) {
 	db := instance.MustParseFacts("R(0,1) R(1,2) R(1,3) R(2,3) X(3,4)")
-	got, d, err := IsCertain(db, words.MustParse("RRX"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Errorf("Figure 2 is a yes-instance (decomposition %v)", d)
+	ev := mustEvaluators(t, []words.Word{words.MustParse("RRX")})[0]
+	if !ev.IsCertain(db) {
+		t.Errorf("Figure 2 is a yes-instance (decomposition %v)", ev.Decomposition())
 	}
 }
 
@@ -171,7 +179,7 @@ func TestComputeOStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := db.Interned()
-	o := ev.Bind(iv, fixpoint.SolveOptions{}).o
+	o := ev.Bind(iv, 1).o
 	holds := func(c string) bool {
 		id, ok := iv.ConstID(c)
 		return ok && o.Test(int(id))
@@ -187,16 +195,11 @@ func TestComputeOStructure(t *testing.T) {
 }
 
 func TestEmptyAndDegenerate(t *testing.T) {
-	db := instance.MustParseFacts("R(a,b)")
-	got, _, err := IsCertain(db, words.Word{})
-	if err != nil || !got {
+	evs := mustEvaluators(t, []words.Word{{}, words.MustParse("RRX")})
+	if !evs[0].IsCertain(instance.MustParseFacts("R(a,b)")) {
 		t.Error("empty query is certain")
 	}
-	got, _, err = IsCertain(instance.New(), words.MustParse("RRX"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got {
+	if evs[1].IsCertain(instance.New()) {
 		t.Error("empty instance cannot certainly satisfy RRX")
 	}
 }

@@ -3,7 +3,6 @@ package nl
 import (
 	"testing"
 
-	"cqa/internal/fixpoint"
 	"cqa/internal/instance"
 	"cqa/internal/words"
 	"cqa/internal/workload"
@@ -11,9 +10,10 @@ import (
 
 // TestIsCertainOptsEquivalence checks the partitioned NL stages against
 // the sequential path as oracle: the decision and the full O bitset
-// must match on every instance, with Threshold 0 forcing the parallel
-// path regardless of size. Covers loop decompositions (RRX) and the
-// loop-free delegation to the whole-word fixpoint solver (RXRX).
+// must match on every instance, with the worker count passed directly
+// so the parallel path runs regardless of size. Covers loop
+// decompositions (RRX) and the loop-free delegation to the whole-word
+// fixpoint solver (RXRX).
 func TestIsCertainOptsEquivalence(t *testing.T) {
 	rnd := func(seed int64, consts, facts int, conflict float64) *instance.Instance {
 		return workload.Random(workload.Config{
@@ -41,17 +41,17 @@ func TestIsCertainOptsEquivalence(t *testing.T) {
 			}
 			want := seqEval.IsCertain(db)
 			iv := db.Interned()
-			wantO := seqEval.Bind(iv, fixpoint.SolveOptions{}).o
+			wantO := seqEval.Bind(iv, 1).o
 			for _, workers := range []int{2, 8} {
 				parEval, err := NewEvaluator(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := fixpoint.SolveOptions{Workers: workers}
-				if got := parEval.IsCertainOpts(db, opts); got != want {
+				b := parEval.Bind(iv, workers)
+				if got := parEval.Certain(iv, b); got != want {
 					t.Errorf("%s/%s workers=%d: IsCertain = %v, want %v", qs, name, workers, got, want)
 				}
-				gotO := parEval.Bind(iv, opts).o
+				gotO := b.o
 				if !gotO.Equal(wantO) {
 					t.Errorf("%s/%s workers=%d: O bitsets differ", qs, name, workers)
 				}
@@ -65,8 +65,10 @@ func TestIsCertainOptsEquivalence(t *testing.T) {
 	}
 }
 
-// TestIsCertainOptsDisengaged checks that an unmet threshold keeps the
-// sequential path (zero parallel counters, same answer).
+// TestIsCertainOptsDisengaged checks that a worker count of at most 1
+// keeps the sequential path (zero parallel counters, same answer).
+// Which snapshots get more than one worker is the plan's rule
+// (internal/plan's TestSolveWorkersRule).
 func TestIsCertainOptsDisengaged(t *testing.T) {
 	db := workload.Figure2Family(80)
 	q := words.MustParse("RRX")
@@ -75,15 +77,17 @@ func TestIsCertainOptsDisengaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ev.IsCertain(db)
-	ev2, err := NewEvaluator(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fixpoint.SolveOptions{Workers: 8, Threshold: db.Interned().NumFacts() + 1}
-	if got := ev2.IsCertainOpts(db, opts); got != want {
-		t.Fatalf("threshold-gated IsCertain = %v, want %v", got, want)
-	}
-	if s := ev2.ParallelStats(); s.Solves != 0 || s.Shards != 0 {
-		t.Fatalf("ParallelStats = %+v, want zero", s)
+	iv := db.Interned()
+	for _, workers := range []int{0, 1} {
+		ev2, err := NewEvaluator(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ev2.Certain(iv, ev2.Bind(iv, workers)); got != want {
+			t.Fatalf("workers %d: Certain = %v, want %v", workers, got, want)
+		}
+		if s := ev2.ParallelStats(); s.Solves != 0 || s.Shards != 0 {
+			t.Fatalf("workers %d: ParallelStats = %+v, want zero", workers, s)
+		}
 	}
 }

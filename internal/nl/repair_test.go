@@ -3,7 +3,6 @@ package nl
 import (
 	"testing"
 
-	"cqa/internal/fixpoint"
 	"cqa/internal/instance"
 	"cqa/internal/memo"
 	"cqa/internal/words"
@@ -26,17 +25,17 @@ func newMemoEvaluator(t *testing.T, q words.Word) *memoEvaluator {
 	return &memoEvaluator{Evaluator: ev, memo: memo.NewLRU[*instance.Interned, *Binding](16)}
 }
 
-func (m *memoEvaluator) bind(iv *instance.Interned, opts fixpoint.SolveOptions) *Binding {
+func (m *memoEvaluator) bind(iv *instance.Interned) *Binding {
 	return memo.GetLineage(m.memo, iv,
 		func(parent *Binding, touched []instance.BlockRef) (*Binding, bool) {
-			return m.Rebind(parent, iv, touched, opts), true
+			return m.Rebind(parent, iv, touched, 1), true
 		},
-		func() *Binding { return m.Bind(iv, opts) })
+		func() *Binding { return m.Bind(iv, 1) })
 }
 
 func (m *memoEvaluator) IsCertain(db *instance.Instance) bool {
 	iv := db.Interned()
-	return m.Certain(iv, m.bind(iv, fixpoint.SolveOptions{}))
+	return m.Certain(iv, m.bind(iv))
 }
 
 // nlChurnInstance covers relations both inside and outside the RRX
@@ -93,7 +92,7 @@ func TestNLRepairSharesUntouchedBinding(t *testing.T) {
 	ev := newMemoEvaluator(t, q)
 	db := nlChurnInstance()
 	iv1 := db.Interned()
-	b1 := ev.bind(iv1, fixpoint.SolveOptions{})
+	b1 := ev.bind(iv1)
 
 	// Relation Y is outside pre, loop, and exit of RRX's decomposition:
 	// the mutation reaches no slice, so the binding carries over whole.
@@ -102,14 +101,14 @@ func TestNLRepairSharesUntouchedBinding(t *testing.T) {
 	if iv2.Delta() == nil {
 		t.Fatalf("in-universe mutation should delta-intern")
 	}
-	b2 := ev.bind(iv2, fixpoint.SolveOptions{})
+	b2 := ev.bind(iv2)
 	if b2 != b1 {
 		t.Errorf("binding must be shared when no dependency relation is touched")
 	}
 
 	// A mutation in X (exit only) reuses the loop-terminal stage.
 	db.AddFact("X", "b", "e")
-	b3 := ev.bind(db.Interned(), fixpoint.SolveOptions{})
+	b3 := ev.bind(db.Interned())
 	if b3 == b2 {
 		t.Errorf("exit-relation mutation must produce a new binding")
 	}

@@ -104,20 +104,6 @@ type Options struct {
 	// no-instances even when the chosen tier does not produce one as a
 	// byproduct.
 	WantCounterexample bool
-	// SolveWorkers and ParallelThreshold tune intra-query parallelism
-	// for the interned tiers (fixpoint and NL): instances with at least
-	// ParallelThreshold facts solve on SolveWorkers partitioned shards.
-	// The zero values keep every decision on the single-core path; the
-	// engine substitutes its configured defaults before dispatch. See
-	// fixpoint.SolveOptions.
-	SolveWorkers      int
-	ParallelThreshold int
-}
-
-// solveOptions projects the parallelism knobs for the fixpoint/NL
-// solvers.
-func (o Options) solveOptions() fixpoint.SolveOptions {
-	return fixpoint.SolveOptions{Workers: o.SolveWorkers, Threshold: o.ParallelThreshold}
 }
 
 // Plan is the compiled form of CERTAINTY(q) for one path query q:
@@ -271,7 +257,7 @@ type ParallelStats = fixpoint.ParallelStats
 // the plan has built so far: fixpoint solves that engaged the sharded
 // worklist, and NL artifact builds that ran the sharded Lemma 14
 // stages. Zero everywhere means every decision took the single-core
-// path — either below the threshold or with parallelism off.
+// path: every snapshot was below parallelFacts, or GOMAXPROCS is 1.
 func (p *Plan) ParallelStats() (s ParallelStats) {
 	p.builtTiers(func(r runner) { s = s.Add(r.parallel()) })
 	return s
@@ -309,7 +295,7 @@ func (p *Plan) Execute(db *instance.Instance, opts Options) (Result, error) {
 // before dispatch, the SAT tier — the only one whose per-decision
 // work is worst-case exponential — polls it inside the CDCL search
 // loop, and a fixpoint solve that engages the partitioned parallel
-// path (see Options.SolveWorkers) polls it between rounds, so
+// path (see solveWorkers) polls it between rounds, so
 // canceling the context releases a caller stuck in a hard coNP
 // decision or a giant-instance solve. The remaining interned-tier
 // decisions run in micro-seconds and are not interrupted mid-solve.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -23,11 +24,30 @@ import (
 // tier holds only query-side state, so the plan's memo is the one place
 // any instance-bound state lives.
 type tier[A any] interface {
-	build(iv *instance.Interned, opts Options) A
-	repair(parent A, iv *instance.Interned, touched []instance.BlockRef, opts Options) (A, bool)
+	build(iv *instance.Interned) A
+	repair(parent A, iv *instance.Interned, touched []instance.BlockRef) (A, bool)
 	decide(ctx context.Context, iv *instance.Interned, a A, opts Options) (Result, error)
 	cost(a A) int64
 	parallel() ParallelStats
+}
+
+// parallelFacts is the snapshot size, in facts, from which the NL and
+// fixpoint tiers shard a decision across every core. Below it the
+// per-round fork/merge overhead of the sharded passes exceeds the
+// whole solve.
+const parallelFacts = 1 << 16
+
+// solveWorkers is the worker count of the NL and fixpoint tiers'
+// artifact builds and solves on iv: runtime.GOMAXPROCS(0) from
+// parallelFacts facts on, 1 below. It reads the fact count first
+// because GOMAXPROCS takes the scheduler lock, which small decisions
+// must never pay. It is a variable only so that this package's tests
+// can force a worker count.
+var solveWorkers = func(iv *instance.Interned) int {
+	if iv.NumFacts() < parallelFacts {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Per-tier memo bounds: at most maxSnapshots resident snapshots, and a
@@ -78,12 +98,12 @@ func newTier[A any](t tier[A], budget int64) runner {
 func (m *memoTier[A]) run(ctx context.Context, iv *instance.Interned, opts Options) (Result, error) {
 	c := memo.GetLineage(m.memo, iv,
 		func(parent *cell[A], touched []instance.BlockRef) (*cell[A], bool) {
-			if a, ok := m.t.repair(parent.art, iv, touched, opts); ok {
+			if a, ok := m.t.repair(parent.art, iv, touched); ok {
 				return &cell[A]{art: a}, true
 			}
 			return nil, false
 		},
-		func() *cell[A] { return &cell[A]{art: m.t.build(iv, opts)} })
+		func() *cell[A] { return &cell[A]{art: m.t.build(iv)} })
 	if d := c.dec.Load(); d != nil && !opts.WantCounterexample {
 		return *d, nil
 	}
@@ -108,13 +128,13 @@ func (m *memoTier[A]) setScale(scale float64) {
 // program; its artifact is the interned start set {c | db ⊨ ψ(c)}.
 type foTier struct{ q words.Word }
 
-func (t foTier) build(iv *instance.Interned, _ Options) bitset.Bits {
+func (t foTier) build(iv *instance.Interned) bitset.Bits {
 	return fo.CertainStartsBits(iv, t.q)
 }
 
 // repair keeps the parent's start set when no touched block belongs to
 // a relation of q; otherwise the linear DP re-runs cold.
-func (t foTier) repair(parent bitset.Bits, iv *instance.Interned, touched []instance.BlockRef, _ Options) (bitset.Bits, bool) {
+func (t foTier) repair(parent bitset.Bits, iv *instance.Interned, touched []instance.BlockRef) (bitset.Bits, bool) {
 	for _, r := range touched {
 		if slices.Contains(t.q, iv.Rel(r.Rel)) {
 			return nil, false
@@ -138,12 +158,12 @@ type nlTier struct {
 	note string
 }
 
-func (t nlTier) build(iv *instance.Interned, opts Options) *nl.Binding {
-	return t.ev.Bind(iv, opts.solveOptions())
+func (t nlTier) build(iv *instance.Interned) *nl.Binding {
+	return t.ev.Bind(iv, solveWorkers(iv))
 }
 
-func (t nlTier) repair(parent *nl.Binding, iv *instance.Interned, touched []instance.BlockRef, opts Options) (*nl.Binding, bool) {
-	return t.ev.Rebind(parent, iv, touched, opts.solveOptions()), true
+func (t nlTier) repair(parent *nl.Binding, iv *instance.Interned, touched []instance.BlockRef) (*nl.Binding, bool) {
+	return t.ev.Rebind(parent, iv, touched, solveWorkers(iv)), true
 }
 
 func (t nlTier) decide(_ context.Context, iv *instance.Interned, b *nl.Binding, _ Options) (Result, error) {
@@ -157,16 +177,16 @@ func (t nlTier) parallel() ParallelStats { return t.ev.ParallelStats() }
 // fallback, and forced ptime-fixpoint runs.
 type fpTier struct{ cp *fixpoint.Compiled }
 
-func (t fpTier) build(iv *instance.Interned, opts Options) *fixpoint.Binding {
-	return t.cp.Bind(iv, opts.solveOptions())
+func (t fpTier) build(iv *instance.Interned) *fixpoint.Binding {
+	return t.cp.Bind(iv, solveWorkers(iv))
 }
 
-func (t fpTier) repair(parent *fixpoint.Binding, iv *instance.Interned, touched []instance.BlockRef, _ Options) (*fixpoint.Binding, bool) {
+func (t fpTier) repair(parent *fixpoint.Binding, iv *instance.Interned, touched []instance.BlockRef) (*fixpoint.Binding, bool) {
 	return t.cp.Rebind(parent, iv, touched), true
 }
 
 func (t fpTier) decide(ctx context.Context, iv *instance.Interned, b *fixpoint.Binding, opts Options) (Result, error) {
-	fp, err := t.cp.SolveBound(ctx, iv, b, opts.solveOptions())
+	fp, err := t.cp.SolveBound(ctx, iv, b, solveWorkers(iv))
 	if err != nil {
 		return Result{}, err
 	}
@@ -188,9 +208,9 @@ func (t fpTier) parallel() ParallelStats      { return t.cp.ParallelStats() }
 // solver, patched in place along the lineage where sound.
 type satTier struct{ c *conp.Compiled }
 
-func (t satTier) build(iv *instance.Interned, _ Options) *conp.Encoding { return t.c.Encode(iv) }
+func (t satTier) build(iv *instance.Interned) *conp.Encoding { return t.c.Encode(iv) }
 
-func (t satTier) repair(parent *conp.Encoding, iv *instance.Interned, touched []instance.BlockRef, _ Options) (*conp.Encoding, bool) {
+func (t satTier) repair(parent *conp.Encoding, iv *instance.Interned, touched []instance.BlockRef) (*conp.Encoding, bool) {
 	e := t.c.Patch(parent, iv, touched)
 	return e, e != nil
 }

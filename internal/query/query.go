@@ -68,6 +68,10 @@ func (q Path) Equal(p Path) bool { return q.word.Equal(p.word) }
 // String renders q in word syntax ("RRX").
 func (q Path) String() string { return q.word.String() }
 
+// Key is an injective encoding of q for map keys (see words.Word.Key);
+// String is not injective.
+func (q Path) Key() string { return q.word.Key() }
+
 // Atoms renders q in logical atom syntax:
 // "R(x1,x2), R(x2,x3), X(x3,x4)".
 func (q Path) Atoms() string {

@@ -37,8 +37,6 @@ const (
 	// Unsat means the formula (under the given assumptions, if any) is
 	// unsatisfiable.
 	Unsat
-	// Unknown means the solver hit its conflict budget.
-	Unknown
 	// Canceled means SolveAssumingCtx observed its context's
 	// cancellation before the search concluded. The solver remains
 	// usable: the next solve call resets the trail to the root level as
@@ -55,7 +53,7 @@ func (s Status) String() string {
 	case Canceled:
 		return "CANCELED"
 	default:
-		return "UNKNOWN"
+		return fmt.Sprintf("Status(%d)", int(s))
 	}
 }
 
@@ -146,10 +144,6 @@ type Solver struct {
 	propagations uint64
 	conflicts    uint64
 	decisions    uint64
-
-	// MaxConflicts bounds the search (cumulatively across calls);
-	// 0 means unbounded.
-	MaxConflicts uint64
 
 	// MaxLearnts, when positive, fixes the learned-database size that
 	// triggers reduceDB; 0 picks an automatic limit from the problem
@@ -951,9 +945,6 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions ...int) Statu
 		if confl != nil {
 			s.conflicts++
 			confSinceRestart++
-			if s.MaxConflicts > 0 && s.conflicts > s.MaxConflicts {
-				return Unknown
-			}
 			if s.decisionLevel() == 0 {
 				s.rootUnsat = true
 				return Unsat

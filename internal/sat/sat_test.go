@@ -422,9 +422,9 @@ func TestStatsAndStatusString(t *testing.T) {
 	if d == 0 && p == 0 && c == 0 {
 		t.Error("expected some search activity")
 	}
-	for _, st := range []Status{Sat, Unsat, Unknown} {
-		if st.String() == "" {
-			t.Error("empty status string")
+	for st, want := range map[Status]string{Sat: "SAT", Unsat: "UNSAT", Canceled: "CANCELED", Canceled + 1: "Status(3)"} {
+		if got := st.String(); got != want {
+			t.Errorf("Status(%d).String() = %q, want %q", int(st), got, want)
 		}
 	}
 }

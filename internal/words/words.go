@@ -91,6 +91,13 @@ func (w Word) String() string {
 	return strings.Join(w, ".")
 }
 
+// Key returns an injective encoding of w for map keys: its symbols
+// joined by ".". No symbol that Parse accepts contains ".", so two
+// parsed words have equal keys exactly when they are equal. String is
+// for display only: it drops the separators when every symbol is one
+// character, so "Ab" (one symbol) and "A b" (two) both render as "Ab".
+func (w Word) Key() string { return strings.Join(w, ".") }
+
 // Len returns the length (number of symbols) of w.
 func (w Word) Len() int { return len(w) }
 
@@ -291,7 +298,7 @@ func (w Word) Rewinds() []Word {
 	seen := make(map[string]bool)
 	for _, p := range w.SelfJoinPairs() {
 		r := w.Rewind(p[0], p[1])
-		k := r.String()
+		k := r.Key()
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, r)
@@ -309,7 +316,7 @@ func (w Word) RewindClosure(maxLen int) []Word {
 	seen := map[string]bool{}
 	queue := []Word{w}
 	if len(w) <= maxLen {
-		seen[w.String()] = true
+		seen[w.Key()] = true
 	} else {
 		return nil
 	}
@@ -321,7 +328,7 @@ func (w Word) RewindClosure(maxLen int) []Word {
 			if len(nxt) > maxLen {
 				continue
 			}
-			k := nxt.String()
+			k := nxt.Key()
 			if !seen[k] {
 				seen[k] = true
 				queue = append(queue, nxt)

@@ -64,23 +64,19 @@ func BenchmarkTierFixpointParallel(b *testing.B) {
 	iv := giantInstance().Interned()
 	ctx := context.Background()
 	b.Run("facts=1000000", func(b *testing.B) {
-		b.Run("serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cp := fixpoint.Compile(q)
-				if _, err := cp.SolveInternedCtx(ctx, iv, fixpoint.SolveOptions{}); err != nil {
-					b.Fatal(err)
+		for _, arm := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
+			b.Run(arm.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					cp := fixpoint.Compile(q)
+					if _, err := cp.SolveBound(ctx, iv, cp.Bind(iv, arm.workers), arm.workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run("parallel", func(b *testing.B) {
-			opts := fixpoint.SolveOptions{Workers: runtime.GOMAXPROCS(0)}
-			for i := 0; i < b.N; i++ {
-				cp := fixpoint.Compile(q)
-				if _, err := cp.SolveInternedCtx(ctx, iv, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	})
 }
 
@@ -88,27 +84,22 @@ func BenchmarkTierFixpointParallel(b *testing.B) {
 // + decision scan) at facts=1e6 on the NL-class query RRX.
 func BenchmarkTierNLParallel(b *testing.B) {
 	q := words.MustParse("RRX")
-	db := giantInstance()
+	iv := giantInstance().Interned()
 	b.Run("facts=1000000", func(b *testing.B) {
-		b.Run("serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ev, err := nl.NewEvaluator(q)
-				if err != nil {
-					b.Fatal(err)
+		for _, arm := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
+			b.Run(arm.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ev, err := nl.NewEvaluator(q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ev.Certain(iv, ev.Bind(iv, arm.workers))
 				}
-				ev.IsCertain(db)
-			}
-		})
-		b.Run("parallel", func(b *testing.B) {
-			opts := fixpoint.SolveOptions{Workers: runtime.GOMAXPROCS(0)}
-			for i := 0; i < b.N; i++ {
-				ev, err := nl.NewEvaluator(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ev.IsCertainOpts(db, opts)
-			}
-		})
+			})
+		}
 	})
 }
 

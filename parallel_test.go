@@ -2,108 +2,19 @@ package cqa
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
 	"cqa/internal/workload"
 )
 
-// parallelTestQueries spans the tetrachotomy: RXRX is FO, RRX is NL
-// with a certified decomposition, RRRRRRRRX is PTIME-complete
-// (fixpoint), and ARRX is coNP-complete (SAT; its decisions never
-// touch the partitioned path, so it doubles as a "nothing engages"
-// control).
-var parallelTestQueries = []string{"RXRX", "RRX", "RRRRRRRRX", "ARRX"}
-
-// TestEngineParallelEquivalence runs randomized instances through two
-// engines — one pinned single-core, one with the partitioned path
-// forced on every non-empty instance — and demands identical decisions
-// on every (query, instance) pair, with the parallel engine's counters
-// proving the sharded path actually ran. Run under -race at -cpu 1,4
-// in CI, this is the engine-level half of the equivalence argument
-// (the solver-level halves live in internal/fixpoint and internal/nl).
-func TestEngineParallelEquivalence(t *testing.T) {
-	seq := NewEngine(EngineConfig{SolveWorkers: 1})
-	par := NewEngine(EngineConfig{SolveWorkers: 4, ParallelThreshold: -1})
-
-	dbs := map[string]*Instance{
-		"small": workload.Random(workload.Config{
-			Relations: []string{"R", "X", "Y"}, Constants: 30, Facts: 120,
-			ConflictRate: 0.5, Seed: 101,
-		}),
-		"mid": workload.Random(workload.Config{
-			Relations: []string{"R", "X", "Y"}, Constants: 300, Facts: 1500,
-			ConflictRate: 0.3, Seed: 102,
-		}),
-		"figure2": workload.Figure2Family(120),
-	}
-	ctx := context.Background()
-	for _, qs := range parallelTestQueries {
-		q := MustParseQuery(qs)
-		for name, db := range dbs {
-			want, err := seq.CertainCtx(ctx, q, db)
-			if err != nil {
-				t.Fatalf("%s/%s: sequential: %v", qs, name, err)
-			}
-			got, err := par.CertainCtx(ctx, q, db)
-			if err != nil {
-				t.Fatalf("%s/%s: parallel: %v", qs, name, err)
-			}
-			if got.Certain != want.Certain || got.Method != want.Method {
-				t.Errorf("%s/%s: parallel = (%v, %s), sequential = (%v, %s)",
-					qs, name, got.Certain, got.Method, want.Certain, want.Method)
-			}
-		}
-	}
-	if s := seq.Stats(); s.Parallel.Solves != 0 || s.Parallel.Shards != 0 {
-		t.Errorf("single-core engine recorded parallel stats: %+v", s.Parallel)
-	}
-	if s := par.Stats(); s.Parallel.Solves == 0 || s.Parallel.Shards == 0 {
-		t.Errorf("forced-parallel engine recorded no parallel solves: %+v", s.Parallel)
-	}
-}
-
-// TestEngineParallelBatch exercises the partitioned solver under the
-// sharded batch scheduler: concurrent workers sharing plans and memos
-// while each decision itself fans out, the shape -race is best at
-// breaking.
-func TestEngineParallelBatch(t *testing.T) {
-	eng := NewEngine(EngineConfig{Workers: 4, SolveWorkers: 4, ParallelThreshold: -1})
-	oracle := NewEngine(EngineConfig{SolveWorkers: 1})
-	db1 := workload.Figure2Family(100)
-	db2 := workload.Chain(MustParseQuery("RRX").Word(), 200)
-	var reqs []Request
-	for i := 0; i < 40; i++ {
-		q := MustParseQuery(parallelTestQueries[i%len(parallelTestQueries)])
-		db := db1
-		if i%2 == 0 {
-			db = db2
-		}
-		reqs = append(reqs, Request{Query: q, DB: db})
-	}
-	for i, res := range eng.CertainBatch(context.Background(), reqs) {
-		if res.Err != nil {
-			t.Fatalf("request %d: %v", i, res.Err)
-		}
-		want, err := oracle.CertainCtx(context.Background(), reqs[i].Query, reqs[i].DB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Certain != want.Certain {
-			t.Errorf("request %d (%v): batch = %v, oracle = %v", i, reqs[i].Query, res.Certain, want.Certain)
-		}
-	}
-	if s := eng.Stats(); s.Parallel.Solves == 0 {
-		t.Errorf("batch never engaged the partitioned solver: %+v", s.Parallel)
-	}
-}
-
-// TestEngineParallelThresholdDefault checks the default calibration
-// gate: instances below DefaultParallelThreshold stay single-core even
-// on a parallel-configured engine.
+// TestEngineParallelThresholdDefault checks the engagement rule at the
+// engine: instances below 1<<16 facts stay single-core. The sharded
+// paths themselves are checked against their sequential oracles in
+// internal/plan (TestPlanParallelEquivalence, TestPlanParallelBatch),
+// internal/fixpoint and internal/nl.
 func TestEngineParallelThresholdDefault(t *testing.T) {
-	eng := NewEngine(EngineConfig{SolveWorkers: 8})
+	eng := NewEngine(EngineConfig{})
 	db := workload.Figure2Family(50) // far below 1<<16 facts
 	res, err := eng.CertainCtx(context.Background(), MustParseQuery("RRRRRRRRX"), db)
 	if err != nil {
@@ -120,13 +31,8 @@ func TestEngineParallelThresholdDefault(t *testing.T) {
 // TestStatsStringParallelLine pins the third stats line, which `cqa
 // batch -stats` prints and the serve daemon logs on drain.
 func TestStatsStringParallelLine(t *testing.T) {
-	eng := NewEngine(EngineConfig{SolveWorkers: 2, ParallelThreshold: -1})
-	eng.CertainCtx(context.Background(), MustParseQuery("RRRRRRRRX"), workload.Figure2Family(40))
-	s := eng.Stats()
-	line := fmt.Sprintf("parallel: %d solves, %d shards", s.Parallel.Solves, s.Parallel.Shards)
-	if s.Parallel.Solves == 0 {
-		t.Fatalf("forced decision did not engage: %+v", s.Parallel)
-	}
+	s := Stats{Parallel: ParallelStats{Solves: 3, Shards: 12}}
+	const line = "parallel: 3 solves, 12 shards"
 	if got := s.String(); !strings.Contains(got, line) {
 		t.Errorf("Stats.String() = %q, want substring %q", got, line)
 	}

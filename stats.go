@@ -12,18 +12,20 @@ import (
 // memos of every tier behind every cached plan (Memo). It replaces the
 // former ad-hoc surfaces (Engine.CacheStats, the per-tier memo
 // counters); plan.MemoStats now only feeds it.
-// Engine.Stats takes the snapshot; Registry.Stats and the serve
-// daemon's /metrics endpoint extend the same tree with instance and
-// router counters. The struct is JSON-serializable as written — the
-// field tags are the wire contract of /metrics.
+// Engine.Stats takes the snapshot; the serve daemon's /metrics
+// endpoint serves it as the "engine" subtree of a JSON tree that adds
+// the registry's instance info and the router's counters. The struct
+// is JSON-serializable as written — the field tags are the wire
+// contract of /metrics.
 type Stats struct {
 	Plans PlanStats `json:"plans"`
 	Memo  MemoStats `json:"memo"`
 	// Parallel counts decisions that engaged the partitioned
-	// fixpoint/NL solver (see EngineConfig.SolveWorkers): Solves is the
-	// number of solves or NL binding builds that took the sharded
-	// path, Shards the total constant-range shards they dispatched.
-	// Zero everywhere means every decision ran single-core.
+	// fixpoint/NL solver, which every decision on a snapshot of at least
+	// 1<<16 facts does when GOMAXPROCS > 1: Solves is the number of
+	// solves or NL binding builds that took the sharded path, Shards
+	// the total constant-range shards they dispatched. Zero everywhere
+	// means every decision ran single-core.
 	Parallel ParallelStats `json:"parallel"`
 	// Panics counts evaluation panics recovered into per-request errors
 	// at the engine's context-aware entry points (see ErrPanic); on a
@@ -131,31 +133,4 @@ func (s Stats) String() string {
 		s.Plans.Compiles, s.Plans.Entries, s.Plans.Hits, s.Plans.Misses, s.Plans.Shards,
 		s.Memo.Hits, s.Memo.Repairs, s.Memo.ColdBuilds, s.Memo.MaxLineageDepth,
 		s.Parallel.Solves, s.Parallel.Shards)
-}
-
-// Counter is one named monotonic counter of a Stats snapshot.
-type Counter struct {
-	Name  string `json:"name"`
-	Value uint64 `json:"value"`
-}
-
-// Counters flattens the snapshot into named counters, in a stable
-// order — the /metrics endpoint's text exposition and any scraper that
-// prefers flat name/value pairs over the JSON tree.
-func (s Stats) Counters() []Counter {
-	return []Counter{
-		{"plan_cache_hits", s.Plans.Hits},
-		{"plan_cache_misses", s.Plans.Misses},
-		{"plan_cache_entries", uint64(s.Plans.Entries)},
-		{"plan_compiles", s.Plans.Compiles},
-		{"batch_shards", s.Plans.Shards},
-		{"memo_hits", s.Memo.Hits},
-		{"memo_misses", s.Memo.Misses},
-		{"memo_repairs", s.Memo.Repairs},
-		{"memo_cold_builds", s.Memo.ColdBuilds},
-		{"memo_max_lineage_depth", s.Memo.MaxLineageDepth},
-		{"parallel_solves", s.Parallel.Solves},
-		{"parallel_shards", s.Parallel.Shards},
-		{"panics", s.Panics},
-	}
 }
