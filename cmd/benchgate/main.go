@@ -6,7 +6,9 @@
 // declare ratio gates — bounds on the quotient of two measured
 // benchmarks (e.g. warm-reuse vs cold ns/op) — which are
 // hardware-independent and therefore survive runner CPU changes that
-// invalidate every absolute number. It also writes a JSON report
+// invalidate every absolute number, and allocs/op ceilings, read from
+// `-benchmem` lines (fewest allocs/op over the repeated runs), which
+// are hardware-independent too. It also writes a JSON report
 // (the CI workflow uploads it as an artifact), so every run leaves a
 // machine-readable record of the measured numbers next to the
 // baseline they were judged against.
@@ -25,7 +27,8 @@
 // Only benchmarks named in the baseline are gated; extra measured
 // benchmarks are reported informationally, and a baseline entry that
 // the run did not produce is an error (a silently skipped gate would
-// otherwise pass forever).
+// otherwise pass forever) — for an allocs/op ceiling, that includes a
+// benchmark run without -benchmem.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -43,10 +47,12 @@ import (
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkEngineReuse/RXRYRY/facts=20-4   20038   12608 ns/op
+//	BenchmarkTierSAT/facts=1000-4   150   1164369 ns/op   530112 B/op   2210 allocs/op
 //
 // The trailing -N (GOMAXPROCS) is stripped; it is omitted entirely
-// when GOMAXPROCS=1, so it is optional.
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// when GOMAXPROCS=1, so it is optional. The allocs/op group matches
+// only on -benchmem lines.
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) allocs/op)?`)
 
 // Baseline is the checked-in reference: fastest observed ns/op per
 // gated benchmark, plus a note describing the hardware it was
@@ -60,6 +66,10 @@ type Baseline struct {
 	// does not). -update preserves them verbatim: they are policy, not
 	// measurements.
 	Ratios []RatioGate `json:"ratios,omitempty"`
+	// AllocsPerOp are ceilings on the allocs/op of the named benchmarks,
+	// which must run with -benchmem. Like Ratios they are policy that
+	// -update preserves.
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // RatioGate asserts that the measured ns/op ratio numerator/denominator
@@ -78,6 +88,7 @@ type Report struct {
 	Pass        bool                   `json:"pass"`
 	Results     map[string]BenchResult `json:"results"`
 	Ratios      map[string]RatioResult `json:"ratios,omitempty"`
+	Allocs      map[string]AllocResult `json:"allocs,omitempty"`
 	Regressions []string               `json:"regressions,omitempty"`
 	Ungated     map[string]float64     `json:"ungated,omitempty"`
 }
@@ -97,6 +108,21 @@ type RatioResult struct {
 	Max         float64 `json:"max"`
 }
 
+// AllocResult is one allocs/op ceiling in the report.
+type AllocResult struct {
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	Max         float64 `json:"max"`
+}
+
+// measurements are the parsed results of a benchmark run: per
+// benchmark, the fastest ns/op and the fewest allocs/op (the latter
+// only for -benchmem lines) over its repeated runs, plus the cpu model.
+type measurements struct {
+	ns     map[string]float64
+	allocs map[string]float64
+	cpu    string
+}
+
 func main() {
 	basePath := flag.String("baseline", ".github/bench-baseline.json", "checked-in baseline JSON")
 	outPath := flag.String("out", "", "write a JSON report of the comparison")
@@ -107,11 +133,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchgate [flags] bench.txt...")
 		os.Exit(2)
 	}
-	measured, cpu, err := parseFiles(flag.Args())
+	m, err := parseFiles(flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
+	measured, cpu := m.ns, m.cpu
 	if len(measured) == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results found in input")
 		os.Exit(2)
@@ -143,6 +170,7 @@ func main() {
 				fmt.Printf("benchgate: kept %d baseline benchmarks not present in this run\n", kept)
 			}
 			next.Ratios = prev.Ratios
+			next.AllocsPerOp = prev.AllocsPerOp
 		}
 		if err := writeJSON(*basePath, next); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
@@ -236,6 +264,7 @@ func main() {
 		}
 		fmt.Printf("%-55s %12.4f ratio     max %12.4f              %s\n", rg.Name, ratio, rg.Max, status)
 	}
+	gateAllocs(base.AllocsPerOp, m.allocs, &report)
 	for name, got := range measured {
 		if _, gated := base.NsPerOp[name]; !gated {
 			report.Ungated[name] = got
@@ -252,46 +281,88 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s\n", strings.Join(report.Regressions, ", "))
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: PASS (%d gated benchmarks within +%.0f%% of baseline, %d ratio gates)\n",
-		len(report.Results), *threshold*100, len(report.Ratios))
+	fmt.Printf("benchgate: PASS (%d gated benchmarks within +%.0f%% of baseline, %d ratio gates, %d allocs/op ceilings)\n",
+		len(report.Results), *threshold*100, len(report.Ratios), len(report.Allocs))
 }
 
-// parseFiles extracts the fastest ns/op per benchmark name across all
-// given `go test -bench` output files, plus the reported cpu model.
-func parseFiles(paths []string) (map[string]float64, string, error) {
-	out := make(map[string]float64)
-	var cpu string
+// gateAllocs checks each allocs/op ceiling against the measured
+// allocs/op, recording every result in report; a benchmark over its
+// ceiling, or not measured with -benchmem, fails the report.
+func gateAllocs(ceilings, allocs map[string]float64, report *Report) {
+	if len(ceilings) > 0 {
+		report.Allocs = make(map[string]AllocResult)
+	}
+	var names []string
+	for name := range ceilings {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ceiling := ceilings[name]
+		got, ok := allocs[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchgate: allocs/op ceiling for %q: no -benchmem result\n", name)
+			report.Pass = false
+			report.Regressions = append(report.Regressions, name+" allocs/op (not run)")
+			continue
+		}
+		report.Allocs[name] = AllocResult{AllocsPerOp: got, Max: ceiling}
+		status := "ok"
+		if got > ceiling {
+			status = fmt.Sprintf("ALLOCS REGRESSION (>%.0f)", ceiling)
+			report.Pass = false
+			report.Regressions = append(report.Regressions, name+" allocs/op")
+		}
+		fmt.Printf("%-55s %12.0f allocs/op max %12.0f              %s\n", name, got, ceiling, status)
+	}
+}
+
+// parseFiles parses every given `go test -bench` output file.
+func parseFiles(paths []string) (measurements, error) {
+	m := measurements{ns: make(map[string]float64), allocs: make(map[string]float64)}
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, "", err
+			return m, err
 		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
-				cpu = strings.TrimSpace(rest)
-				continue
-			}
-			m := benchLine.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			ns, err := strconv.ParseFloat(m[2], 64)
-			if err != nil {
-				continue
-			}
-			if prev, ok := out[m[1]]; !ok || ns < prev {
-				out[m[1]] = ns
-			}
-		}
-		err = sc.Err()
+		err = parse(f, &m)
 		f.Close()
 		if err != nil {
-			return nil, "", err
+			return m, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	return out, cpu, nil
+	return m, nil
+}
+
+// parse adds the results of one `go test -bench` output to m, keeping
+// the fastest ns/op and the fewest allocs/op per benchmark name.
+func parse(r io.Reader, m *measurements) error {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			m.cpu = strings.TrimSpace(rest)
+			continue
+		}
+		g := benchLine.FindStringSubmatch(line)
+		if g == nil {
+			continue
+		}
+		if ns, err := strconv.ParseFloat(g[2], 64); err == nil {
+			if prev, ok := m.ns[g[1]]; !ok || ns < prev {
+				m.ns[g[1]] = ns
+			}
+		}
+		if g[3] == "" {
+			continue
+		}
+		if a, err := strconv.ParseFloat(g[3], 64); err == nil {
+			if prev, ok := m.allocs[g[1]]; !ok || a < prev {
+				m.allocs[g[1]] = a
+			}
+		}
+	}
+	return sc.Err()
 }
 
 func writeJSON(path string, v any) error {

@@ -25,16 +25,20 @@
 // the z-chain ladder — once per query; the instance-bound CNF is then
 // built on instance.Interned with every variable id computed by
 // arithmetic on dense interned ids (selectors from block offsets,
-// z[c,i] at constID·k+i) instead of hashed string keys, and the clause
-// literals live in one flat arena. The built encoding (CNF arena,
-// selector layout, and the lazily constructed solver with everything it
+// z[c,i] at constID·k+i) instead of hashed string keys, and every clause
+// goes straight into a fresh incremental solver, whose pointer-free
+// clause slab is the only copy of the formula. The built encoding
+// (selector layout, patch index, and the solver with everything it
 // learns) is an Encoding: the plan layer memoizes it per interned
 // snapshot, so a re-decision on an unchanged instance re-runs only the
 // solver (Solve) — under the same assumptions, warmed by saved phases
-// and learned clauses. A counterexample repair is decoded from the
-// model only when the caller asks Solve for one: to interned fact ids at
-// solve time, then materialized to a string-keyed *instance.Instance on
-// demand. A plain decision reads nothing out of the model.
+// and learned clauses. When the solver is gone (a lineage child took
+// it) or its learned database outgrew its budget, the encoding is
+// rebuilt by re-encoding its snapshot. A counterexample repair is
+// decoded from the model only when the caller asks Solve for one: to
+// interned fact ids at solve time, then materialized to a string-keyed
+// *instance.Instance on demand. A plain decision reads nothing out of
+// the model.
 //
 // Lineage repair. When a snapshot is a structural delta of a resident
 // ancestor (instance.Delta), Patch derives its encoding by patching the
@@ -50,9 +54,10 @@
 // creation or emptying, a solver already moved on or root-unsatisfiable,
 // an exhausted patch budget — fall back to a cold build. See Patch for the
 // soundness argument. A patch allocates in proportion to the blocks it
-// touches, not to the formula: the solver grows its per-variable tables
-// amortized and drops purged learned clauses from its watch lists
-// lazily.
+// touches, not to the formula: the clauses it weakens are found through
+// the patch index encode recorded, the solver grows its per-variable
+// tables amortized, and the dead slab words of weakened (relocated) and
+// purged clauses are reclaimed by an amortized compaction.
 package conp
 
 import (
@@ -76,8 +81,8 @@ const (
 
 	// maxLearnedFactor bounds the learned clauses a memoized solver may
 	// accumulate across re-decisions, as a multiple of its problem
-	// clauses; beyond it the solver is rebuilt from the arena (dropping
-	// the learned database) rather than dragging it through every call.
+	// clauses; beyond it the encoding is rebuilt (dropping the learned
+	// database) rather than dragging it through every call.
 	maxLearnedFactor = 2
 
 	// maxPatchedBlocks bounds the blocks patched cumulatively along one
@@ -238,12 +243,12 @@ func EncodingSize(db *instance.Instance, q words.Word) (int, int) {
 		return 0, 0
 	}
 	e := Compile(q).encode(db.Interned())
-	return e.nVars, len(e.clauseEnd)
+	return e.nVars, e.nClauses
 }
 
-// Bytes prices the encoding for a memo's byte budget: the arena and
-// layout, times a factor for the solver's own copy of every clause plus
-// its watch lists.
+// Bytes prices the encoding for a memo's byte budget: four bytes per
+// literal, clause and layout entry the encoder emitted, times a factor
+// for the solver's clause store plus its watch lists.
 func (e *Encoding) Bytes() int64 {
 	if e == nil {
 		return 0
@@ -252,10 +257,10 @@ func (e *Encoding) Bytes() int64 {
 }
 
 // Encoding is the instance-bound CNF for one (query, interned snapshot)
-// pair: the clause arena, the dense variable layout, and the lazily
-// built incremental solver. The arena and layout are immutable after
-// encode; solver access is serialized by mu (the solver is stateful
-// across SolveAssuming calls).
+// pair: the dense variable layout and the incremental solver the encoder
+// emitted the clauses into. The layout is immutable after encode; solver
+// access is serialized by mu (the solver is stateful across
+// SolveAssuming calls).
 type Encoding struct {
 	iv *instance.Interned
 	k  int
@@ -274,9 +279,8 @@ type Encoding struct {
 	// rids[i] is the interned relation id of q[i] (-1 when absent).
 	rids []int32
 
-	// The clause arena: clause j is arena[clauseEnd[j-1]:clauseEnd[j]].
-	arena     []int32
-	clauseEnd []int32
+	// nClauses is the number of problem clauses encode emitted.
+	nClauses int
 
 	// roots are the assumption literals ¬z[c,0], one per block of q[0]'s
 	// relation: the "no constant starts a q-trace path" constraints kept
@@ -288,24 +292,24 @@ type Encoding struct {
 	bytes int64
 
 	// Lineage-patch state. A patched encoding shares the variable layout
-	// of layoutIV (the arena-built ancestor the lineage started from)
+	// of layoutIV (the cold-encoded ancestor the lineage started from)
 	// and carries per-block overrides in blockVars: the current values
 	// of every patched block and their selector variables, which may
 	// live in the extension region above the ancestor's variable count.
-	// aloIdx and compIdx locate each block's at-least-one clause and
-	// each (position, key)'s completion clause in the solver's problem
-	// database; they are built once from the arena at the first patch
-	// and shared down the lineage (patches only append clauses and
-	// weaken existing ones in place, so the indices stay valid).
-	// patched counts blocks patched over the whole lineage, against
-	// maxPatchedBlocks. A patched encoding has a nil arena: if its
-	// solver is stolen by a further patch or outgrows the learned
-	// budget, ensureSolver re-encodes from the snapshot instead of
-	// replaying an arena.
+	// The patch index locates clauses in the solver's problem database,
+	// by layoutIV's global block number gb and by position i with the
+	// index j of a block among the blocks of q[i]'s relation: aloIdx[gb]
+	// is the block's at-least-one clause, compIdx[compOff[i]+j] the
+	// completion clause z[key,i] → ⋁ …. encode records both as it emits
+	// the clauses, and they are shared down the lineage (patches only
+	// append clauses and weaken existing ones in place, so the indices
+	// stay valid). patched counts blocks patched over the whole lineage,
+	// against maxPatchedBlocks.
 	layoutIV  *instance.Interned
 	blockVars map[int64]blockPatch
-	aloIdx    map[int64]int32
-	compIdx   map[int64]int32
+	aloIdx    []int32
+	compIdx   []int32
+	compOff   []int32
 	patched   int
 
 	mu                          sync.Mutex
@@ -328,13 +332,22 @@ func (e *Encoding) zvar(cst int32, i int) int {
 	return int(e.zBase) + int(cst)*e.k + i + 1
 }
 
-// findBlock locates relation rid's block keyed by key in iv; blocks are
-// stored sorted by interned key id.
-func findBlock(iv *instance.Interned, rid, key int32) (instance.InternedBlock, bool) {
+// blockIndex returns the index of relation rid's block keyed by key
+// among rid's blocks in iv, or -1 when there is none; blocks are stored
+// sorted by interned key id.
+func blockIndex(iv *instance.Interned, rid, key int32) int {
 	bls := iv.RelBlocks(rid)
 	j := sort.Search(len(bls), func(i int) bool { return bls[i].Key >= key })
 	if j < len(bls) && bls[j].Key == key {
-		return bls[j], true
+		return j
+	}
+	return -1
+}
+
+// findBlock locates relation rid's block keyed by key in iv.
+func findBlock(iv *instance.Interned, rid, key int32) (instance.InternedBlock, bool) {
+	if j := blockIndex(iv, rid, key); j >= 0 {
+		return iv.RelBlocks(rid)[j], true
 	}
 	return instance.InternedBlock{}, false
 }
@@ -393,41 +406,75 @@ func (c *Compiled) encode(iv *instance.Interned) *Encoding {
 		}
 	}
 
-	end := func() { e.clauseEnd = append(e.clauseEnd, int32(len(e.arena))) }
+	// live reports whether z[d,i+1] can hold, i.e. whether a fact
+	// q[i](c,d) gets a Tseitin variable in the ladder below.
+	live := func(i int, d int32) bool {
+		return i+1 < k && e.rids[i+1] >= 0 && keys[e.rids[i+1]].Test(int(d))
+	}
+	// Count the auxiliaries — m-1 ladder variables per block above
+	// amoPairwiseMax, one Tseitin variable per live fact at a non-final
+	// position — so the solver is sized once; the clauses then go
+	// straight into it. nLits counts the literals for Bytes.
+	aux := 0
+	for r := 0; r < nr; r++ {
+		for _, bl := range iv.RelBlocks(int32(r)) {
+			if m := len(bl.Vals); m > amoPairwiseMax {
+				aux += m - 1
+			}
+		}
+	}
+	for i, rid := range e.rids {
+		if rid < 0 {
+			continue
+		}
+		for _, bl := range iv.RelBlocks(rid) {
+			for _, d := range bl.Vals {
+				if live(i, d) {
+					aux++
+				}
+			}
+		}
+	}
+	s := sat.NewSolver(nVars + aux)
+	nLits := 0
+	add := func(lits ...int) {
+		s.AddClauseFrom(lits)
+		nLits += len(lits)
+	}
+	var lits []int
 
 	// Exactly-one selector per block.
+	e.aloIdx = make([]int32, nblocks)
 	gb = 0
 	for r := 0; r < nr; r++ {
 		for _, bl := range iv.RelBlocks(int32(r)) {
-			base := e.selOff[gb] + 1 // variable of bl.Vals[0]
+			base := int(e.selOff[gb]) + 1 // variable of bl.Vals[0]
 			m := len(bl.Vals)
+			lits = lits[:0]
 			for vi := 0; vi < m; vi++ {
-				e.arena = append(e.arena, base+int32(vi))
+				lits = append(lits, base+vi)
 			}
-			end() // at least one
+			e.aloIdx[gb] = int32(s.NumClauses())
+			add(lits...) // at least one
 			if m <= amoPairwiseMax {
 				for a := 0; a < m; a++ {
 					for b := a + 1; b < m; b++ {
-						e.arena = append(e.arena, -(base + int32(a)), -(base + int32(b)))
-						end()
+						add(-(base + a), -(base + b))
 					}
 				}
 			} else {
 				// Sequential ladder: s_i ("some of the first i selectors
 				// is true") for i = 1..m-1, linear in m.
-				s := int32(nVars) // s(i) = s + i, for i in 1..m-1
+				sv := nVars // s_i = sv + i, for i in 1..m-1
 				nVars += m - 1
 				for i := 1; i < m; i++ {
-					e.arena = append(e.arena, -(base + int32(i-1)), s+int32(i))
-					end() // x_i → s_i
+					add(-(base + i - 1), sv+i) // x_i → s_i
 				}
 				for i := 2; i < m; i++ {
-					e.arena = append(e.arena, -(s + int32(i-1)), s+int32(i))
-					end() // s_{i-1} → s_i
+					add(-(sv + i - 1), sv+i) // s_{i-1} → s_i
 				}
 				for i := 2; i <= m; i++ {
-					e.arena = append(e.arena, -(base + int32(i-1)), -(s + int32(i-1)))
-					end() // x_i → ¬s_{i-1}
+					add(-(base + i - 1), -(sv + i - 1)) // x_i → ¬s_{i-1}
 				}
 			}
 			gb++
@@ -435,155 +482,112 @@ func (c *Compiled) encode(iv *instance.Interned) *Encoding {
 	}
 
 	// The z-chain ladders, from the last position backwards.
-	zvar := func(cst int32, i int) int32 { return e.zBase + cst*int32(k) + int32(i) + 1 }
-	var disj []int32
+	e.compOff = make([]int32, k)
+	ncomp := 0
+	for i, rid := range e.rids {
+		e.compOff[i] = int32(ncomp)
+		if rid >= 0 {
+			ncomp += len(iv.RelBlocks(rid))
+		}
+	}
+	e.compIdx = make([]int32, ncomp)
 	for i := k - 1; i >= 0; i-- {
 		rid := e.rids[i]
 		if rid < 0 {
 			continue
 		}
-		var nextKeys bitset.Bits
-		if i+1 < k && e.rids[i+1] >= 0 {
-			nextKeys = keys[e.rids[i+1]]
-		}
 		gbBase := e.relBlockStart[rid]
 		for bi, bl := range iv.RelBlocks(rid) {
-			z := zvar(bl.Key, i)
-			selBase := e.selOff[gbBase+int32(bi)] + 1
-			disj = disj[:0]
+			z := e.zvar(bl.Key, i)
+			selBase := int(e.selOff[gbBase+int32(bi)]) + 1
+			lits = append(lits[:0], -z) // z → ⋁ disj, collected below
 			for vi, d := range bl.Vals {
-				x := selBase + int32(vi)
+				x := selBase + vi
 				if i+1 == k {
 					// The suffix after the last position is ε: true.
-					e.arena = append(e.arena, -x, z)
-					end() // x_f → z
-					disj = append(disj, x)
+					add(-x, z) // x_f → z
+					lits = append(lits, x)
 					continue
 				}
-				if nextKeys == nil || !nextKeys.Test(int(d)) {
+				if !live(i, d) {
 					continue // successor can never start the suffix
 				}
-				zn := zvar(d, i+1)
+				zn := e.zvar(d, i+1)
 				nVars++
-				a := int32(nVars) // a ↔ x_f ∧ z[d,i+1]
-				e.arena = append(e.arena, -a, x)
-				end()
-				e.arena = append(e.arena, -a, zn)
-				end()
-				e.arena = append(e.arena, -x, -zn, a)
-				end()
-				e.arena = append(e.arena, -a, z)
-				end()
-				disj = append(disj, a)
+				a := nVars // a ↔ x_f ∧ z[d,i+1]
+				add(-a, x)
+				add(-a, zn)
+				add(-x, -zn, a)
+				add(-a, z)
+				lits = append(lits, a)
 			}
-			// z → ⋁ disj.
-			e.arena = append(e.arena, -z)
-			e.arena = append(e.arena, disj...)
-			end()
+			e.compIdx[int(e.compOff[i])+bi] = int32(s.NumClauses())
+			add(lits...)
 		}
 	}
 
 	// Assume ¬z[c,0] for every constant that could start a path.
 	if e.rids[0] >= 0 {
 		for _, bl := range iv.RelBlocks(e.rids[0]) {
-			e.roots = append(e.roots, -int(zvar(bl.Key, 0)))
+			e.roots = append(e.roots, -e.zvar(bl.Key, 0))
 		}
 	}
 
 	e.nVars = nVars
-	base := int64(len(e.arena)+len(e.clauseEnd)+len(e.selOff)+len(e.relBlockStart)+len(e.rids)) * 4
-	e.bytes = base * 5 // ×5: the solver holds its own clause copies plus watch lists
+	e.nClauses = s.NumClauses()
+	e.solver = s
+	base := int64(nLits+e.nClauses+len(e.selOff)+len(e.relBlockStart)+len(e.rids)) * 4
+	e.bytes = base * 5 // ×5: the solver's clause store plus its watch lists
 	return e
 }
 
-// buildSolver (re)loads the arena into a fresh incremental solver.
-// Caller holds e.mu.
-func (e *Encoding) buildSolver() {
-	s := sat.NewSolver(e.nVars)
-	var lits []int
-	var start int32
-	for _, ce := range e.clauseEnd {
-		lits = lits[:0]
-		for _, l := range e.arena[start:ce] {
-			lits = append(lits, int(l))
-		}
-		s.AddClauseFrom(lits)
-		start = ce
+// ensureSolver makes e.solver usable: absent (stolen by a lineage child)
+// or dragging too large a learned database, it is rebuilt by re-encoding
+// the snapshot, which also resets the patch state to a fresh lineage
+// root. Caller holds e.mu.
+func (e *Encoding) ensureSolver(c *Compiled) {
+	if e.solver != nil && e.solver.NumLearned() <= maxLearnedFactor*e.nClauses+1024 {
+		return
 	}
-	e.solver = s
+	f := c.encode(e.iv)
+	e.relBlockStart, e.selOff, e.zBase, e.nVars = f.relBlockStart, f.selOff, f.zBase, f.nVars
+	e.rids, e.nClauses, e.roots = f.rids, f.nClauses, f.roots
+	e.layoutIV, e.blockVars, e.patched = e.iv, nil, 0
+	e.aloIdx, e.compIdx, e.compOff = f.aloIdx, f.compIdx, f.compOff
+	e.solver = f.solver
 	e.prevDec, e.prevProp, e.prevConf = 0, 0, 0
 }
 
-// ensureSolver makes e.solver usable: absent (never built, or stolen by
-// a lineage child) or dragging too large a learned database, it is
-// rebuilt. Patched encodings have no arena, so their rebuild re-encodes
-// from the snapshot and resets the patch state to a fresh lineage root.
-// Caller holds e.mu.
-func (e *Encoding) ensureSolver(c *Compiled) {
-	if e.solver != nil && e.solver.NumLearned() <= maxLearnedFactor*len(e.clauseEnd)+1024 {
-		return
-	}
-	if e.arena == nil {
-		f := c.encode(e.iv)
-		e.relBlockStart, e.selOff, e.zBase, e.nVars = f.relBlockStart, f.selOff, f.zBase, f.nVars
-		e.rids, e.arena, e.clauseEnd, e.roots = f.rids, f.arena, f.clauseEnd, f.roots
-		e.layoutIV, e.blockVars, e.aloIdx, e.compIdx, e.patched = e.iv, nil, nil, nil, 0
-	}
-	e.buildSolver()
+// aloClause returns the problem-clause index of the at-least-one clause
+// of relation rid's block j (its index among rid's blocks in layoutIV).
+func (e *Encoding) aloClause(rid int32, j int) int {
+	return int(e.aloIdx[int(e.relBlockStart[rid])+j])
+}
+
+// compClause returns the problem-clause index of the completion clause
+// at position i of block j of q[i]'s relation in layoutIV.
+func (e *Encoding) compClause(i, j int) int {
+	return int(e.compIdx[int(e.compOff[i])+j])
 }
 
 // curBlockVars returns the current values of block (rid, key) and their
 // selector variables, preferring a lineage-patch override and falling
-// back to the arena layout of layoutIV.
+// back to the layout of layoutIV.
 func (e *Encoding) curBlockVars(rid, key int32) ([]int32, []int32, bool) {
 	if bp, ok := e.blockVars[blockKey64(rid, key)]; ok {
 		return bp.vals, bp.vars, true
 	}
-	bls := e.layoutIV.RelBlocks(rid)
-	j := sort.Search(len(bls), func(i int) bool { return bls[i].Key >= key })
-	if j >= len(bls) || bls[j].Key != key {
+	j := blockIndex(e.layoutIV, rid, key)
+	if j < 0 {
 		return nil, nil, false
 	}
 	base := e.selOff[int(e.relBlockStart[rid])+j] + 1
-	vals := bls[j].Vals
+	vals := e.layoutIV.RelBlocks(rid)[j].Vals
 	vars := make([]int32, len(vals))
 	for i := range vars {
 		vars[i] = base + int32(i)
 	}
 	return vals, vars, true
-}
-
-// buildPatchIndex scans the arena once and records every block's
-// at-least-one clause index and every (position, key) completion clause
-// index. The scan classifies by first literal: only at-least-one
-// clauses open with a positive selector literal (every other clause
-// shape the encoder emits opens with a negation), and only completions
-// open with a negated z literal. Caller holds e.mu; e.arena non-nil.
-func (e *Encoding) buildPatchIndex() {
-	liv := e.layoutIV
-	firstVar := make(map[int32]int64)
-	gb := 0
-	for r := 0; r < liv.NumRels(); r++ {
-		for _, bl := range liv.RelBlocks(int32(r)) {
-			firstVar[e.selOff[gb]+1] = blockKey64(int32(r), bl.Key)
-			gb++
-		}
-	}
-	e.aloIdx = make(map[int64]int32, gb)
-	e.compIdx = make(map[int64]int32)
-	zMax := e.zBase + int32(liv.NumConsts()*e.k)
-	var start int32
-	for ci, ce := range e.clauseEnd {
-		l0 := e.arena[start]
-		start = ce
-		switch {
-		case l0 > 0 && l0 <= e.zBase:
-			e.aloIdx[firstVar[l0]] = int32(ci)
-		case l0 < 0 && -l0 > e.zBase && -l0 <= zMax:
-			off := int(-l0-e.zBase) - 1
-			e.compIdx[int64(off%e.k)<<32|int64(uint32(int32(off/e.k)))] = int32(ci)
-		}
-	}
 }
 
 // Patch derives the encoding for iv from a resident ancestor encoding
@@ -598,7 +602,7 @@ func (e *Encoding) buildPatchIndex() {
 // exact cold-built replacements; weakening invalidates learned clauses,
 // so those patches purge the learned database first (phases and
 // activities survive). The parent's solver moves to the child;
-// re-deciding the parent later rebuilds it from the parent's arena.
+// re-deciding the parent later re-encodes the parent's snapshot.
 //
 // Patch returns nil when repairing would be unsound or unprofitable and
 // the caller must encode cold: the parent has no live solver (already
@@ -630,6 +634,7 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 	type blockEdit struct {
 		key64      int64
 		rid, key   int32
+		lj         int     // the block's index among rid's blocks in layoutIV
 		vals, vars []int32 // surviving values and their variables
 		added      []int32 // value ids to splice in
 		removedVar []int32 // variables of removed values
@@ -645,7 +650,10 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 		if !ok {
 			return nil // block created
 		}
-		ed := blockEdit{key64: blockKey64(ref.Rel, ref.Key), rid: ref.Rel, key: ref.Key}
+		// A block of a patchable lineage exists from its root on, so it
+		// has a layout index (and hence patch-index entries).
+		ed := blockEdit{key64: blockKey64(ref.Rel, ref.Key), rid: ref.Rel, key: ref.Key,
+			lj: blockIndex(pe.layoutIV, ref.Rel, ref.Key)}
 		for j, v := range vals {
 			if slices.Contains(bl.Vals, v) {
 				ed.vals = append(ed.vals, v)
@@ -668,9 +676,6 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 		edits = append(edits, ed)
 	}
 
-	if len(edits) > 0 && pe.aloIdx == nil {
-		pe.buildPatchIndex()
-	}
 	if needPurge {
 		// Additions weaken clauses in place, so first drop everything
 		// derived through the strong formula: the learned database, and
@@ -682,13 +687,10 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 			if len(ed.added) == 0 {
 				continue
 			}
-			weak = append(weak, int(pe.aloIdx[ed.key64]))
+			weak = append(weak, pe.aloClause(ed.rid, ed.lj))
 			for i, rid := range pe.rids {
-				if rid != ed.rid {
-					continue
-				}
-				if idx, ok := pe.compIdx[int64(i)<<32|int64(uint32(ed.key))]; ok {
-					weak = append(weak, int(idx))
+				if rid == ed.rid {
+					weak = append(weak, pe.compClause(i, ed.lj))
 				}
 			}
 		}
@@ -704,12 +706,13 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 		zBase:         pe.zBase,
 		nVars:         pe.nVars,
 		rids:          pe.rids,
-		clauseEnd:     pe.clauseEnd,
+		nClauses:      pe.nClauses,
 		roots:         pe.roots,
 		bytes:         pe.bytes + 512*int64(len(edits)+1),
 		layoutIV:      pe.layoutIV,
 		aloIdx:        pe.aloIdx,
 		compIdx:       pe.compIdx,
+		compOff:       pe.compOff,
 		patched:       pe.patched + len(edits),
 		solver:        s,
 		prevDec:       d0,
@@ -731,13 +734,13 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 			for _, w := range ed.vars {
 				s.AddClauseFrom([]int{-int(w), -nv})
 			}
-			s.WeakenClause(int(child.aloIdx[ed.key64]), nv)
+			s.WeakenClause(child.aloClause(ed.rid, ed.lj), nv)
 			for i, rid := range child.rids {
 				if rid != ed.rid {
 					continue
 				}
 				z := child.zvar(ed.key, i)
-				comp := int(child.compIdx[int64(i)<<32|int64(uint32(ed.key))])
+				comp := child.compClause(i, ed.lj)
 				if i+1 == child.k {
 					s.AddClauseFrom([]int{-nv, z})
 					s.WeakenClause(comp, nv)
@@ -771,8 +774,8 @@ func (c *Compiled) Patch(pe *Encoding, iv *instance.Interned, touched []instance
 // decodeSel reads the chosen value id of every block out of the model.
 // Caller holds e.mu (the model lives in the shared solver). On a
 // patched encoding, blocks with a lineage override read their spliced
-// variables; everything else falls back to the arena layout (no block
-// set ever shifts along a patchable lineage, so the layout lookup
+// variables; everything else falls back to the layout of layoutIV (no
+// block set ever shifts along a patchable lineage, so the layout lookup
 // always resolves).
 func (e *Encoding) decodeSel() []int32 {
 	m := e.solver.Model()

@@ -1,6 +1,7 @@
 package conp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"cqa/internal/instance"
 	"cqa/internal/repairs"
 	"cqa/internal/words"
+	"cqa/internal/workload"
 )
 
 func TestFigure2(t *testing.T) {
@@ -113,6 +115,34 @@ func TestStatsPopulated(t *testing.T) {
 	res := IsCertain(db, words.MustParse("ARRX"))
 	if res.Propagations == 0 {
 		t.Error("expected solver activity")
+	}
+}
+
+// TestColdBuildAllocatesLessThanOnePerClause: encode emits every clause
+// straight into the solver's clause slab, so a cold encode+solve
+// allocates per slab or table growth and per watched literal, not per
+// clause. A solver that kept each clause as its own heap object and
+// literal slice made about 2.5 allocations per clause here.
+func TestColdBuildAllocatesLessThanOnePerClause(t *testing.T) {
+	db := workload.Random(workload.Config{
+		Relations:    []string{"R", "X", "Y", "A"},
+		Constants:    15000,
+		Facts:        20000,
+		ConflictRate: 0.05,
+		Seed:         1,
+	})
+	iv := db.Interned()
+	c := Compile(words.MustParse("ARRX"))
+	clauses := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		res, err := c.Solve(context.Background(), iv, c.Encode(iv), false)
+		if err != nil {
+			panic(err) // a background context never cancels
+		}
+		clauses = res.Clauses
+	})
+	if allocs >= float64(clauses) {
+		t.Fatalf("cold encode+solve made %.0f allocations for %d problem clauses, want fewer than one per clause", allocs, clauses)
 	}
 }
 

@@ -111,7 +111,7 @@ func TestPatchStealsSolverAndParentRebuilds(t *testing.T) {
 	}
 
 	// The parent snapshot must still answer correctly after its solver
-	// moved to the child (it rebuilds from its arena).
+	// moved to the child (it rebuilds by re-encoding its snapshot).
 	again := cp.IsCertainInterned(iv1)
 	if again.Certain != cold.Certain {
 		t.Fatalf("parent re-decision = %v, want %v", again.Certain, cold.Certain)

@@ -86,6 +86,12 @@ func TestParseFactsAndString(t *testing.T) {
 	if db.String() != want {
 		t.Errorf("String = %s, want %s", db.String(), want)
 	}
+	// Any ASCII whitespace separates facts: a body written with CRLF
+	// line ends parses like one written with LF.
+	crlf := MustParseFacts("R(0,1)\r\nR(1,2);\vR(1,3)\fX(3,4)\r\n")
+	if !crlf.Equal(db) {
+		t.Errorf("CRLF/VT/FF-separated facts parsed as %s, want %s", crlf, db)
+	}
 	for _, bad := range []string{"R(a)", "Rab", "R(a,b", "(a,b)", "R(,b)"} {
 		if _, err := ParseFacts(bad); err == nil {
 			t.Errorf("ParseFacts(%q): expected error", bad)

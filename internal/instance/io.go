@@ -68,13 +68,12 @@ func ParseFact(tok string) (Fact, error) {
 }
 
 // ParseFacts parses a compact fact-list syntax used pervasively in tests
-// and examples: facts separated by whitespace or semicolons, each of the
-// form R(a,b). Example: "R(0,1) R(1,2) R(1,3) X(3,4)".
+// and examples: facts separated by ASCII whitespace (CRLF line ends
+// included) or semicolons, each of the form R(a,b). Example:
+// "R(0,1) R(1,2) R(1,3) X(3,4)".
 func ParseFacts(s string) (*Instance, error) {
 	db := New()
-	tokens := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ' ' || r == '\n' || r == '\t' || r == ';'
-	})
+	tokens := strings.FieldsFunc(s, isFactSep)
 	for _, tok := range tokens {
 		if tok == "" {
 			continue
@@ -86,6 +85,16 @@ func ParseFacts(s string) (*Instance, error) {
 		db.Add(f)
 	}
 	return db, nil
+}
+
+// isFactSep reports whether r separates facts in ParseFacts: an ASCII
+// whitespace byte or a semicolon.
+func isFactSep(r rune) bool {
+	switch r {
+	case ' ', '\t', '\n', '\v', '\f', '\r', ';':
+		return true
+	}
+	return false
 }
 
 // MustParseFacts is ParseFacts that panics on error.

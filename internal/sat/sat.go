@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"cqa/internal/faultinject"
@@ -67,19 +68,126 @@ const (
 	falseVal   int8 = -1
 )
 
-type clause struct {
-	lits []int
-	// act is the clause activity driving learned-clause deletion; learnt
-	// marks clauses in the learned database, removed marks clauses
-	// dropped by reduceDB/PurgeLearnts whose watch entries are filtered
-	// lazily. dormant marks problem clauses attached without watches —
+// Clause store. Every clause, problem and learned, lives in one
+// pointer-free []int32 slab, MiniSat's clause arena (Eén and Sörensson,
+// SAT 2003), and is named by a cref: the slab index of its header word.
+// The header packs the literal count above three flag bits; the literals
+// follow, and a learned clause ends with two words holding its float64
+// activity. The clause lists, the reasons and the watch lists hold crefs
+// rather than pointers, so the garbage collector never scans them. Word 0
+// of the slab is reserved, so cref 0 means "no clause".
+//
+// A clause relocated by WeakenClause, or dropped from the learned
+// database, leaves dead words behind; compact reclaims them once they
+// outnumber the live words.
+type cref int32
+
+const (
+	// hdrLearnt marks clauses in the learned database.
+	hdrLearnt int32 = 1 << iota
+	// hdrRemoved marks learned clauses dropped by reduceDB or
+	// PurgeLearnts. Propagation skips and drops their watch entries
+	// lazily; compact drops the rest.
+	hdrRemoved
+	// hdrDormant marks problem clauses attached without watches —
 	// root-level units, and clauses satisfied or asserting at the root
 	// when attachNew saw them — which a root-trail retraction must
 	// re-check (propagation alone cannot revive an unwatched clause).
-	act     float64
-	learnt  bool
-	removed bool
-	dormant bool
+	hdrDormant
+
+	hdrShift = 3
+)
+
+// clauseWords returns the slab words of a clause with header h.
+func clauseWords(h int32) int {
+	n := 1 + int(h>>hdrShift)
+	if h&hdrLearnt != 0 {
+		n += 2
+	}
+	return n
+}
+
+// lits returns clause c's literals as a window of the slab, valid until
+// the slab next grows or compacts. The two watched literals of an
+// attached clause are kept at positions 0 and 1.
+func (s *Solver) lits(c cref) []int32 {
+	return s.slab[c+1 : c+1+cref(s.slab[c]>>hdrShift)]
+}
+
+// act returns learned clause c's activity.
+func (s *Solver) act(c cref) float64 {
+	i := int(c) + 1 + int(s.slab[c]>>hdrShift)
+	return math.Float64frombits(uint64(uint32(s.slab[i])) | uint64(uint32(s.slab[i+1]))<<32)
+}
+
+// setAct sets learned clause c's activity.
+func (s *Solver) setAct(c cref, a float64) {
+	i := int(c) + 1 + int(s.slab[c]>>hdrShift)
+	b := math.Float64bits(a)
+	s.slab[i], s.slab[i+1] = int32(uint32(b)), int32(uint32(b>>32))
+}
+
+// newClause appends a clause over lits to the slab and returns its cref;
+// a learned clause starts at activity claInc.
+func (s *Solver) newClause(lits []int, learnt bool) cref {
+	c := cref(len(s.slab))
+	h := int32(len(lits)) << hdrShift
+	if learnt {
+		h |= hdrLearnt
+	}
+	s.slab = append(s.slab, h)
+	for _, l := range lits {
+		s.slab = append(s.slab, int32(l))
+	}
+	if learnt {
+		s.slab = append(s.slab, 0, 0)
+		s.setAct(c, s.claInc)
+	}
+	return c
+}
+
+// free accounts for n newly dead slab words and compacts once the dead
+// words outnumber the live ones, so the slab never holds more than twice
+// its live words.
+func (s *Solver) free(n int) {
+	if s.wasted += n; s.wasted > len(s.slab)-s.wasted {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses (the problem clauses, then the learned
+// ones, each in list order) to a fresh slab and rewrites every cref the
+// solver holds: the two clause lists, the reasons of the assignments on
+// the trail (unassigned variables have none), and the watch lists, which
+// drop the entries of dead clauses and keep their order. A moved
+// clause's old header records its new cref as -(cref+1); a live header
+// is never negative.
+func (s *Solver) compact() {
+	old := s.slab
+	s.slab = make([]int32, 1, len(old)-s.wasted)
+	for _, cs := range [][]cref{s.clauses, s.learnts} {
+		for i, c := range cs {
+			cs[i] = cref(len(s.slab))
+			s.slab = append(s.slab, old[c:int(c)+clauseWords(old[c])]...)
+			old[c] = -int32(cs[i]) - 1
+		}
+	}
+	for _, l := range s.trail {
+		if v := abs(l); s.reason[v] != 0 {
+			s.reason[v] = cref(-old[s.reason[v]] - 1)
+		}
+	}
+	for i, ws := range s.watches {
+		n := 0
+		for _, c := range ws {
+			if h := old[c]; h < 0 {
+				ws[n] = cref(-h - 1)
+				n++
+			}
+		}
+		s.watches[i] = ws[:n]
+	}
+	s.wasted = 0
 }
 
 // Solver is an incremental CDCL SAT solver instance. Create with
@@ -88,16 +196,19 @@ type clause struct {
 // clause additions. A Solver is stateful and NOT safe for concurrent
 // use; callers that share one (the conp encoding memo) serialize.
 type Solver struct {
-	nVars   int
-	clauses []*clause // problem clauses
-	learnts []*clause // learned clauses (persist across solves)
+	nVars int
+	// slab holds every clause (see cref); wasted counts its dead words.
+	slab    []int32
+	wasted  int
+	clauses []cref // problem clauses, in addition order
+	learnts []cref // learned clauses (persist across solves)
 	// watches[litIndex] = clauses watching that literal.
-	watches [][]*clause
+	watches [][]cref
 
 	assign   []int8 // by variable (1-based)
 	level    []int  // decision level per variable
-	reason   []*clause
-	trail    []int // assigned literals in order
+	reason   []cref // 0 for decisions, assumptions and unassigned variables
+	trail    []int  // assigned literals in order
 	trailLim []int
 	qhead    int // propagation cursor into trail (persists at level 0)
 
@@ -105,6 +216,7 @@ type Solver struct {
 	varInc   float64
 	phase    []int8
 	seen     []bool // analyze's per-variable marks, all false between calls
+	learnt   []int  // analyze's learned-clause buffer, reused per conflict
 
 	// claInc / learntLimit drive activity-based learned-clause deletion:
 	// when the learned database reaches learntLimit, reduceDB drops the
@@ -134,13 +246,6 @@ type Solver struct {
 	// (the cold path) never pay for the re-check.
 	needReassert bool
 
-	// unswept counts learned clauses marked removed since the last full
-	// watch-list sweep. propagate drops a removed clause's entry when it
-	// meets one, so a sweep (filterWatches) runs only once the count
-	// exceeds the problem clauses, spreading its O(formula) cost over at
-	// least as many removals.
-	unswept int
-
 	propagations uint64
 	conflicts    uint64
 	decisions    uint64
@@ -155,10 +260,11 @@ type Solver struct {
 func NewSolver(nVars int) *Solver {
 	s := &Solver{
 		nVars:    nVars,
-		watches:  make([][]*clause, 2*(nVars+1)),
+		slab:     make([]int32, 1),
+		watches:  make([][]cref, 2*(nVars+1)),
 		assign:   make([]int8, nVars+1),
 		level:    make([]int, nVars+1),
-		reason:   make([]*clause, nVars+1),
+		reason:   make([]cref, nVars+1),
 		activity: make([]float64, nVars+1),
 		phase:    make([]int8, nVars+1),
 		seen:     make([]bool, nVars+1),
@@ -206,10 +312,10 @@ func (s *Solver) ExtendVars(n int) {
 		return
 	}
 	grow := n - s.nVars
-	s.watches = append(s.watches, make([][]*clause, 2*grow)...)
+	s.watches = append(s.watches, make([][]cref, 2*grow)...)
 	s.assign = append(s.assign, make([]int8, grow)...)
 	s.level = append(s.level, make([]int, grow)...)
-	s.reason = append(s.reason, make([]*clause, grow)...)
+	s.reason = append(s.reason, make([]cref, grow)...)
 	s.activity = append(s.activity, make([]float64, grow)...)
 	s.phase = append(s.phase, make([]int8, grow)...)
 	s.seen = append(s.seen, make([]bool, grow)...)
@@ -220,14 +326,17 @@ func (s *Solver) ExtendVars(n int) {
 	s.nVars = n
 }
 
-// WeakenClause appends lit to problem clause i (in addition order).
-// Appending never disturbs the two watched literals, so it is safe on an
-// attached clause mid-stream; a unit clause growing to length two joins
-// the watch lists here. The caller must guarantee lit is in range and
-// not already present; this is the incremental encoder's way to turn a
-// clause into its weaker replacement in place (e.g. extending a block's
-// at-least-one constraint with a newly added fact's selector) without
-// rebuilding the solver.
+// WeakenClause appends lit to problem clause i (in addition order). The
+// caller must guarantee lit is in range and not already present; this is
+// the incremental encoder's way to turn a clause into its weaker
+// replacement (e.g. extending a block's at-least-one constraint with a
+// newly added fact's selector) without rebuilding the solver. A clause
+// cannot grow in place in the slab, so the weakened clause is a copy at
+// the slab's end with lit appended: clause i and the clause's watch
+// entries, if it has any, are repointed at it where they stand, so the
+// watched literals and every list order are unchanged. The clause must
+// not be the reason for an assignment, which RetractDepending (below)
+// guarantees for every clause passed to it.
 //
 // Soundness is the caller's burden: any root-level assignment that was
 // derived *through* the strong version of the clause remains on the
@@ -240,12 +349,30 @@ func (s *Solver) WeakenClause(i, lit int) {
 	// dormant: appending a literal cannot unsatisfy it, and if the
 	// assignment satisfying it is ever retracted, the scheduled re-check
 	// installs watches for the grown clause.
-	c := s.clauses[i]
-	c.lits = append(c.lits, lit)
+	old := s.clauses[i]
+	h := s.slab[old]
+	n := int(h >> hdrShift)
+	c := cref(len(s.slab))
+	s.slab = append(s.slab, h+1<<hdrShift)
+	s.slab = append(s.slab, s.slab[old+1:int(old)+1+n]...)
+	s.slab = append(s.slab, int32(lit))
+	s.clauses[i] = c
+	if i < s.attached && h&hdrDormant == 0 {
+		for _, l := range s.slab[c+1 : c+3] {
+			ws := s.watches[litIndex(int(l))]
+			for j := range ws {
+				if ws[j] == old {
+					ws[j] = c
+					break
+				}
+			}
+		}
+	}
+	s.free(clauseWords(h))
 }
 
 // ClauseLen returns the current length of problem clause i.
-func (s *Solver) ClauseLen(i int) int { return len(s.clauses[i].lits) }
+func (s *Solver) ClauseLen(i int) int { return len(s.lits(s.clauses[i])) }
 
 // RootFixed reports whether variable v is assigned at the root level
 // (decision level 0). Root assignments persist across SolveAssuming
@@ -269,8 +396,8 @@ func (s *Solver) RootUnsat() bool { return s.rootUnsat }
 // one, while assignments propagated purely from surviving problem
 // clauses are re-derived from the re-propagation this schedules. The
 // dropped clauses' watch entries are removed lazily, by propagation or
-// by an occasional full sweep, so a purge costs O(trail + learned)
-// rather than a pass over every watch list.
+// by the next compaction, so a purge costs O(trail + learned) rather
+// than a pass over every watch list.
 func (s *Solver) PurgeLearnts() {
 	s.cancelUntil(0)
 	// Root assignments are trail-ordered, so everything from the first
@@ -279,7 +406,7 @@ func (s *Solver) PurgeLearnts() {
 	// scratch on the next solve.
 	cut := -1
 	for i, l := range s.trail {
-		if r := s.reason[abs(l)]; r != nil && r.learnt {
+		if r := s.reason[abs(l)]; r != 0 && s.slab[r]&hdrLearnt != 0 {
 			cut = i
 			break
 		}
@@ -288,11 +415,13 @@ func (s *Solver) PurgeLearnts() {
 	if len(s.learnts) == 0 {
 		return
 	}
+	dead := 0
 	for _, c := range s.learnts {
-		c.removed = true
+		s.slab[c] |= hdrRemoved
+		dead += clauseWords(s.slab[c])
 	}
-	s.noteRemoved(len(s.learnts))
 	s.learnts = s.learnts[:0]
+	s.free(dead)
 }
 
 // retractFrom unassigns every trail entry from index cut onward (a
@@ -308,7 +437,7 @@ func (s *Solver) retractFrom(cut int) {
 		v := abs(s.trail[i])
 		s.phase[v] = s.assign[v]
 		s.assign[v] = unassigned
-		s.reason[v] = nil
+		s.reason[v] = 0
 		if s.orderPos[v] < 0 {
 			s.orderInsert(int32(v))
 		}
@@ -336,13 +465,13 @@ func (s *Solver) RetractDepending(clauseIdx []int) {
 	if len(clauseIdx) == 0 {
 		return
 	}
-	mark := make(map[*clause]bool, len(clauseIdx))
+	mark := make(map[cref]bool, len(clauseIdx))
 	for _, i := range clauseIdx {
 		mark[s.clauses[i]] = true
 	}
 	cut := -1
 	for i, l := range s.trail {
-		if r := s.reason[abs(l)]; r != nil && (r.learnt || mark[r]) {
+		if r := s.reason[abs(l)]; r != 0 && (s.slab[r]&hdrLearnt != 0 || mark[r]) {
 			cut = i
 			break
 		}
@@ -350,46 +479,22 @@ func (s *Solver) RetractDepending(clauseIdx []int) {
 	s.retractFrom(cut)
 }
 
-// noteRemoved records n learned clauses just marked removed and sweeps
-// every watch list once the removed-but-unswept clauses outnumber the
-// problem clauses.
-func (s *Solver) noteRemoved(n int) {
-	if s.unswept += n; s.unswept > len(s.clauses) {
-		s.filterWatches()
-	}
-}
-
-// filterWatches compacts every watch list, dropping clauses marked
-// removed.
-func (s *Solver) filterWatches() {
-	s.unswept = 0
-	for i, ws := range s.watches {
-		n := 0
-		for _, c := range ws {
-			if !c.removed {
-				ws[n] = c
-				n++
-			}
-		}
-		s.watches[i] = ws[:n]
-	}
-}
-
 // locked reports whether c is the reason for a current assignment (its
 // asserting literal is kept at lits[0] by construction); locked clauses
 // must survive learned-clause deletion.
-func (s *Solver) locked(c *clause) bool {
-	l := c.lits[0]
+func (s *Solver) locked(c cref) bool {
+	l := int(s.slab[c+1])
 	return s.value(l) == trueVal && s.reason[abs(l)] == c
 }
 
 // bumpClause raises a learned clause's activity, rescaling the whole
 // database when activities overflow.
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.setAct(l, s.act(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -401,19 +506,20 @@ func (s *Solver) bumpClause(c *clause) {
 // watch lists a long-lived incremental solver drags through every
 // propagation without throwing the whole database away.
 func (s *Solver) reduceDB() {
-	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].act < s.learnts[j].act })
+	sort.Slice(s.learnts, func(i, j int) bool { return s.act(s.learnts[i]) < s.act(s.learnts[j]) })
 	half := len(s.learnts) / 2
-	n := 0
+	n, dead := 0, 0
 	for i, c := range s.learnts {
-		if i < half && len(c.lits) > 2 && !s.locked(c) {
-			c.removed = true
+		if i < half && s.slab[c]>>hdrShift > 2 && !s.locked(c) {
+			s.slab[c] |= hdrRemoved
+			dead += clauseWords(s.slab[c])
 			continue
 		}
 		s.learnts[n] = c
 		n++
 	}
-	s.noteRemoved(len(s.learnts) - n)
 	s.learnts = s.learnts[:n]
+	s.free(dead)
 }
 
 func litIndex(l int) int {
@@ -423,19 +529,13 @@ func litIndex(l int) int {
 	return -2*l + 1
 }
 
+// value returns the value of literal l: its variable's value, negated
+// for a negative literal (falseVal = -trueVal, unassigned = 0).
 func (s *Solver) value(l int) int8 {
-	v := l
-	if v < 0 {
-		v = -v
+	if l < 0 {
+		return -s.assign[-l]
 	}
-	a := s.assign[v]
-	if a == unassigned {
-		return unassigned
-	}
-	if (l > 0) == (a == trueVal) {
-		return trueVal
-	}
-	return falseVal
+	return s.assign[l]
 }
 
 // AddClause adds a clause (a disjunction of literals). Duplicate
@@ -457,21 +557,22 @@ func (s *Solver) AddClause(lits ...int) error {
 			out = append(out, l)
 		}
 	}
-	s.clauses = append(s.clauses, &clause{lits: out})
+	s.clauses = append(s.clauses, s.newClause(out, false))
 	return nil
 }
 
-// AddClauseFrom appends a copy of lits as a clause, skipping the
-// validation, deduplication and tautology filtering of AddClause. The
-// caller must guarantee the literals are nonzero, in range, distinct,
-// and non-tautological — encoders that construct clauses structurally
+// AddClauseFrom adds lits as a clause, skipping the validation,
+// deduplication and tautology filtering of AddClause. The caller must
+// guarantee the literals are nonzero, in range, distinct, and
+// non-tautological — encoders that construct clauses structurally
 // (internal/conp) satisfy this by construction and skip the per-clause
-// map AddClause pays for it.
+// map AddClause pays for it. The literals are copied into the clause
+// slab; lits is not retained.
 func (s *Solver) AddClauseFrom(lits []int) {
-	s.clauses = append(s.clauses, &clause{lits: append([]int(nil), lits...)})
+	s.clauses = append(s.clauses, s.newClause(lits, false))
 }
 
-func (s *Solver) watch(c *clause, lit int) {
+func (s *Solver) watch(c cref, lit int) {
 	i := litIndex(lit)
 	s.watches[i] = append(s.watches[i], c)
 }
@@ -481,19 +582,20 @@ func (s *Solver) watch(c *clause, lit int) {
 // or asserted as a root unit (including length-1 clauses), and
 // therefore carrying no watches until a retraction re-checks it. ok is
 // false on a root-level conflict. Must run at decision level 0.
-func (s *Solver) attachOne(c *clause) (dormant, ok bool) {
+func (s *Solver) attachOne(c cref) (dormant, ok bool) {
 	// Move up to two non-false literals to the front; a clause with a
 	// root-level true literal is satisfied for as long as that
 	// assignment stands and needs no watches until then.
+	lits := s.lits(c)
 	satisfied := false
 	nf := 0
-	for i, l := range c.lits {
-		switch s.value(l) {
+	for i, l := range lits {
+		switch s.value(int(l)) {
 		case trueVal:
 			satisfied = true
 		case unassigned:
 			if nf < 2 {
-				c.lits[nf], c.lits[i] = c.lits[i], c.lits[nf]
+				lits[nf], lits[i] = lits[i], lits[nf]
 				nf++
 			}
 		}
@@ -508,10 +610,10 @@ func (s *Solver) attachOne(c *clause) (dormant, ok bool) {
 	case 0: // every literal root-false (or the clause is empty)
 		return false, false
 	case 1:
-		return true, s.enqueue(c.lits[0], c)
+		return true, s.enqueue(int(lits[0]), c)
 	}
-	s.watch(c, c.lits[0])
-	s.watch(c, c.lits[1])
+	s.watch(c, int(lits[0]))
+	s.watch(c, int(lits[1]))
 	return false, true
 }
 
@@ -527,7 +629,7 @@ func (s *Solver) attachNew() bool {
 	if s.needReassert {
 		s.needReassert = false
 		for _, c := range s.clauses[:s.attached] {
-			if !c.dormant {
+			if s.slab[c]&hdrDormant == 0 {
 				continue
 			}
 			dormant, ok := s.attachOne(c)
@@ -535,7 +637,9 @@ func (s *Solver) attachNew() bool {
 				s.rootUnsat = true
 				return false
 			}
-			c.dormant = dormant
+			if !dormant {
+				s.slab[c] &^= hdrDormant
+			}
 		}
 	}
 	// The per-clause logic below mirrors attachOne; it stays inline
@@ -543,15 +647,16 @@ func (s *Solver) attachNew() bool {
 	// will not inline a function with loops.
 	for ; s.attached < len(s.clauses); s.attached++ {
 		c := s.clauses[s.attached]
+		lits := s.lits(c)
 		satisfied := false
 		nf := 0
-		for i, l := range c.lits {
-			switch s.value(l) {
+		for i, l := range lits {
+			switch s.value(int(l)) {
 			case trueVal:
 				satisfied = true
 			case unassigned:
 				if nf < 2 {
-					c.lits[nf], c.lits[i] = c.lits[i], c.lits[nf]
+					lits[nf], lits[i] = lits[i], lits[nf]
 					nf++
 				}
 			}
@@ -560,7 +665,7 @@ func (s *Solver) attachNew() bool {
 			}
 		}
 		if satisfied {
-			c.dormant = true
+			s.slab[c] |= hdrDormant
 			continue
 		}
 		switch nf {
@@ -568,34 +673,29 @@ func (s *Solver) attachNew() bool {
 			s.rootUnsat = true
 			return false
 		case 1:
-			c.dormant = true
-			if !s.enqueue(c.lits[0], c) {
+			s.slab[c] |= hdrDormant
+			if !s.enqueue(int(lits[0]), c) {
 				s.rootUnsat = true
 				return false
 			}
 		default:
-			s.watch(c, c.lits[0])
-			s.watch(c, c.lits[1])
+			s.watch(c, int(lits[0]))
+			s.watch(c, int(lits[1]))
 		}
 	}
 	return true
 }
 
-func (s *Solver) enqueue(l int, from *clause) bool {
-	switch s.value(l) {
-	case trueVal:
-		return true
-	case falseVal:
-		return false
+func (s *Solver) enqueue(l int, from cref) bool {
+	v, val := l, trueVal
+	if l < 0 {
+		v, val = -l, falseVal
 	}
-	v := l
-	val := trueVal
-	if v < 0 {
-		v = -v
-		val = falseVal
+	if a := s.assign[v]; a != unassigned {
+		return a == val
 	}
 	s.assign[v] = val
-	s.level[v] = s.decisionLevel()
+	s.level[v] = len(s.trailLim)
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	return true
@@ -603,9 +703,8 @@ func (s *Solver) enqueue(l int, from *clause) bool {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-// propagate runs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation; it returns a conflicting clause or 0.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		l := s.trail[s.qhead]
 		s.qhead++
@@ -614,31 +713,37 @@ func (s *Solver) propagate() *clause {
 		// place: a clause that moves its watch moves it to a literal that
 		// is not false, so never onto ¬l's own list, and the kept entries
 		// keep their order. Entries of removed learned clauses are
-		// dropped here (see noteRemoved).
+		// dropped here (see hdrRemoved).
+		falseLit := int32(-l)
 		negIdx := litIndex(-l)
 		ws := s.watches[negIdx]
+		if len(ws) == 0 {
+			continue
+		}
 		kept := ws[:0]
+		slab := s.slab // propagation never grows the slab
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
-			if c.removed {
+			h := slab[c]
+			if h&hdrRemoved != 0 {
 				continue
 			}
 			// Find the two watched literals; by convention they are
 			// kept in lits[0], lits[1].
-			if len(c.lits) >= 2 {
-				if c.lits[0] == -l {
-					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits := slab[c+1 : c+1+cref(h>>hdrShift)]; len(lits) >= 2 {
+				if lits[0] == falseLit {
+					lits[0], lits[1] = lits[1], lits[0]
 				}
-				// c.lits[1] == -l now (it was watched).
-				if s.value(c.lits[0]) == trueVal {
+				// lits[1] == ¬l now (it was watched).
+				if s.value(int(lits[0])) == trueVal {
 					kept = append(kept, c)
 					continue
 				}
 				moved := false
-				for k := 2; k < len(c.lits); k++ {
-					if s.value(c.lits[k]) != falseVal {
-						c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-						s.watch(c, c.lits[1])
+				for k := 2; k < len(lits); k++ {
+					if s.value(int(lits[k])) != falseVal {
+						lits[1], lits[k] = lits[k], lits[1]
+						s.watch(c, int(lits[1]))
 						moved = true
 						break
 					}
@@ -647,7 +752,7 @@ func (s *Solver) propagate() *clause {
 					continue // no longer watching ¬l
 				}
 				kept = append(kept, c)
-				if !s.enqueue(c.lits[0], c) {
+				if !s.enqueue(int(lits[0]), c) {
 					// Conflict: restore remaining watches.
 					kept = append(kept, ws[wi+1:]...)
 					s.watches[negIdx] = kept
@@ -657,9 +762,11 @@ func (s *Solver) propagate() *clause {
 			}
 			kept = append(kept, c)
 		}
-		s.watches[negIdx] = kept
+		if len(kept) < len(ws) {
+			s.watches[negIdx] = kept
+		}
 	}
-	return nil
+	return 0
 }
 
 // Branching-order heap: a binary max-heap on activity with lazy
@@ -667,65 +774,77 @@ func (s *Solver) propagate() *clause {
 // disturbs the heap order.
 
 func (s *Solver) orderSiftUp(i int) {
-	v := s.order[i]
+	order, pos, act := s.order, s.orderPos, s.activity
+	v := order[i]
+	av := act[v]
 	for i > 0 {
 		parent := (i - 1) / 2
-		p := s.order[parent]
-		if s.activity[v] <= s.activity[p] {
+		p := order[parent]
+		if av <= act[p] {
 			break
 		}
-		s.order[i] = p
-		s.orderPos[p] = int32(i)
+		order[i] = p
+		pos[p] = int32(i)
 		i = parent
 	}
-	s.order[i] = v
-	s.orderPos[v] = int32(i)
+	order[i] = v
+	pos[v] = int32(i)
 }
 
 func (s *Solver) orderSiftDown(i int) {
-	n := len(s.order)
-	v := s.order[i]
+	order, pos, act := s.order, s.orderPos, s.activity
+	n := len(order)
+	v := order[i]
+	av := act[v]
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && s.activity[s.order[r]] > s.activity[s.order[child]] {
-			child = r
+		c := order[child]
+		ac := act[c]
+		if r := child + 1; r < n {
+			if rc := order[r]; act[rc] > ac {
+				child, c, ac = r, rc, act[rc]
+			}
 		}
-		c := s.order[child]
-		if s.activity[c] <= s.activity[v] {
+		if ac <= av {
 			break
 		}
-		s.order[i] = c
-		s.orderPos[c] = int32(i)
+		order[i] = c
+		pos[c] = int32(i)
 		i = child
 	}
-	s.order[i] = v
-	s.orderPos[v] = int32(i)
+	order[i] = v
+	pos[v] = int32(i)
 }
 
+// orderInsert adds v to the heap. The common case, v no more active
+// than its parent slot (every variable of a conflict-free search), is
+// the first comparison of orderSiftUp, done inline.
 func (s *Solver) orderInsert(v int32) {
-	s.orderPos[v] = int32(len(s.order))
+	i := len(s.order)
 	s.order = append(s.order, v)
-	s.orderSiftUp(len(s.order) - 1)
+	if i > 0 && s.activity[v] <= s.activity[s.order[(i-1)/2]] {
+		s.orderPos[v] = int32(i)
+		return
+	}
+	s.orderSiftUp(i)
 }
 
 // orderPop removes and returns the highest-activity variable, or 0 when
 // the heap is empty.
 func (s *Solver) orderPop() int32 {
-	if len(s.order) == 0 {
+	n := len(s.order)
+	if n == 0 {
 		return 0
 	}
 	v := s.order[0]
 	s.orderPos[v] = -1
-	last := len(s.order) - 1
-	if last > 0 {
-		s.order[0] = s.order[last]
-		s.orderPos[s.order[0]] = 0
-	}
-	s.order = s.order[:last]
-	if last > 0 {
+	last := s.order[n-1]
+	s.order = s.order[:n-1]
+	if n > 1 {
+		s.order[0] = last
 		s.orderSiftDown(0)
 	}
 	return v
@@ -745,9 +864,10 @@ func (s *Solver) bumpVar(v int) {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (with the asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]int, int) {
-	learnt := []int{0} // placeholder for asserting literal
+// clause (with the asserting literal first) and the backjump level. The
+// clause is returned in a buffer the next call reuses.
+func (s *Solver) analyze(confl cref) ([]int, int) {
+	learnt := append(s.learnt[:0], 0) // placeholder for asserting literal
 	seen := s.seen
 	counter := 0
 	var p int
@@ -755,10 +875,11 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 	c := confl
 
 	for {
-		if c.learnt {
+		if s.slab[c]&hdrLearnt != 0 {
 			s.bumpClause(c)
 		}
-		for _, l := range c.lits {
+		for _, cl := range s.lits(c) {
+			l := int(cl)
 			if l == p { // skip the asserting path literal
 				continue
 			}
@@ -808,6 +929,7 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			break
 		}
 	}
+	s.learnt = learnt
 	return learnt, back
 }
 
@@ -823,12 +945,13 @@ func (s *Solver) cancelUntil(level int) {
 		return
 	}
 	lim := s.trailLim[level]
-	for i := len(s.trail) - 1; i >= lim; i-- {
-		v := abs(s.trail[i])
-		s.phase[v] = s.assign[v]
-		s.assign[v] = unassigned
-		s.reason[v] = nil
-		if s.orderPos[v] < 0 {
+	trail, assign, phase, reason, pos := s.trail, s.assign, s.phase, s.reason, s.orderPos
+	for i := len(trail) - 1; i >= lim; i-- {
+		v := abs(trail[i])
+		phase[v] = assign[v]
+		assign[v] = unassigned
+		reason[v] = 0
+		if pos[v] < 0 {
 			s.orderInsert(int32(v))
 		}
 	}
@@ -913,7 +1036,7 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions ...int) Statu
 	if !s.attachNew() {
 		return Unsat
 	}
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		s.rootUnsat = true
 		return Unsat
 	}
@@ -942,7 +1065,7 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions ...int) Statu
 			}
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != 0 {
 			s.conflicts++
 			confSinceRestart++
 			if s.decisionLevel() == 0 {
@@ -951,7 +1074,7 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions ...int) Statu
 			}
 			learnt, back := s.analyze(confl)
 			s.cancelUntil(back)
-			c := &clause{lits: learnt, learnt: true, act: s.claInc}
+			c := s.newClause(learnt, true)
 			s.learnts = append(s.learnts, c)
 			if len(learnt) >= 2 {
 				s.watch(c, learnt[0])
@@ -989,7 +1112,7 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions ...int) Statu
 			default:
 				s.decisions++
 				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(a, nil)
+				s.enqueue(a, 0)
 			}
 			continue
 		}
@@ -1003,7 +1126,7 @@ func (s *Solver) SolveAssumingCtx(ctx context.Context, assumptions ...int) Statu
 		if s.phase[v] == falseVal {
 			lit = -v
 		}
-		s.enqueue(lit, nil)
+		s.enqueue(lit, 0)
 	}
 }
 

@@ -474,7 +474,10 @@ func responseFor(q string, res cqa.Result, err error) queryResponse {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	q, err := cqa.ParseQuery(r.URL.Query().Get("q"))
+	// The response echoes the query as sent: the display form of the
+	// parsed word is not injective ("A b" and "Ab" both render "Ab").
+	raw := r.URL.Query().Get("q")
+	q, err := cqa.ParseQuery(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -498,7 +501,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, errStatus(qErr), qErr)
 		return
 	}
-	writeJSON(w, responseFor(q.String(), res, nil))
+	writeJSON(w, responseFor(raw, res, nil))
 }
 
 // batchLine is one NDJSON request line of a batch stream.
@@ -544,8 +547,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(out)
 	flusher, _ := w.(http.Flusher)
 
+	// Batch lines are short, so the scanner starts at bufio's 4 KiB
+	// default and grows toward maxLine only for a longer line: a large
+	// buffer allocated up front for every request would be most of what
+	// a served decision allocates.
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), s.maxLine)
+	sc.Buffer(nil, s.maxLine)
 
 	index := 0
 	var pending []queryResponse // one slot per request line of the chunk

@@ -100,6 +100,32 @@ func runBatch(t *testing.T, base, name string, words []string) []queryResponse {
 	return out
 }
 
+// TestServeQueryEchoesWireQuery: a REST query's response names the
+// query exactly as the client sent it. "A b" (relation A, then b) and
+// "Ab" (one relation Ab) are different words whose display strings
+// collide, so echoing the parsed word would answer both as "Ab".
+func TestServeQueryEchoesWireQuery(t *testing.T) {
+	_, ts := newTestServer(t)
+	const facts = "A(0,1) b(1,2) Ab(0,1)"
+	if code, body := mustPost(t, ts.URL+"/instances/x", facts); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	db, err := cqa.ParseFacts(facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for param, q := range map[string]string{"A%20b": "A b", "Ab": "Ab"} {
+		var resp queryResponse
+		mustGetJSON(t, ts.URL+"/instances/x/query?q="+param, &resp)
+		if resp.Query != q {
+			t.Errorf("?q=%s answered as query %q, want %q", param, resp.Query, q)
+		}
+		if want := cqa.Certain(cqa.MustParseQuery(q), db).Certain; resp.Certain == nil || *resp.Certain != want {
+			t.Errorf("?q=%s decided %v, want %v", param, resp.Certain, want)
+		}
+	}
+}
+
 // TestServeEndToEnd is the serve-loop e2e of the issue: register over
 // HTTP, stream queries, mutate, and assert via /metrics that
 // post-mutation decisions are lineage repairs (not cold builds) and
@@ -253,11 +279,16 @@ func TestServeBatchWindowingAndErrors(t *testing.T) {
 	}
 	// 2.5 windows of requests (window=32), with JSON and bare lines
 	// mixed plus a malformed line: responses come back in order, the
-	// bad line answered per-line.
+	// bad line answered per-line. One line is longer than 64 KiB, so
+	// the line scanner must grow its buffer.
 	var words []string
 	for i := 0; i < 80; i++ {
 		if i == 40 {
 			words = append(words, `{"query": "???"}`)
+			continue
+		}
+		if i == 60 {
+			words = append(words, `{"query": "RRX"`+strings.Repeat(" ", 100_000)+`}`)
 			continue
 		}
 		if i%2 == 0 {
