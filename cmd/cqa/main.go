@@ -10,7 +10,7 @@
 //	cqa solve -q <query> (-db <file.csv> | -facts "R(a,b) ...") [-method M] [-cex]
 //	cqa plan -q <query>
 //	cqa batch [-file reqs.txt] [-workers N] [-format lines|ndjson|csv]
-//	          [-max-line BYTES] [-shard-size N] [-compile-workers N] [-stats]
+//	          [-max-line BYTES] [-stats]
 //	cqa serve [-addr HOST:PORT] [-router-workers N] [-queue-depth N] [-window N]
 //	cqa rewrite -q <query>
 //	cqa language -q <query> [-max N]
@@ -86,7 +86,7 @@ func usage() {
   cqa solve -q Q [-db F|-facts S]  decide CERTAINTY(q) on an instance
   cqa plan -q Q                    compiled execution plan for q
   cqa batch [-file F] [-workers N] [-format lines|ndjson|csv]
-            [-max-line BYTES] [-shard-size N] [-compile-workers N]
+            [-max-line BYTES]
             [-stats]               decide a request batch; ndjson reads
                                    {"query":..., "facts":[...]} lines and
                                    streams one-line-JSON results; csv reads
@@ -160,7 +160,7 @@ func cmdSolve(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("query    : %v  (%v)\n", q, res.Class)
+	fmt.Printf("query    : %s  (%v)\n", strings.TrimSpace(*qs), res.Class)
 	fmt.Printf("method   : %s\n", res.Method)
 	fmt.Printf("certain  : %v\n", res.Certain)
 	if res.Witness != "" {
@@ -184,7 +184,7 @@ func cmdPlan(args []string) error {
 		return err
 	}
 	p := cqa.CompilePlan(q)
-	fmt.Printf("query  : %v\n", q)
+	fmt.Printf("query  : %s\n", strings.TrimSpace(*qs))
 	fmt.Printf("class  : %v\n", p.Class())
 	fmt.Printf("method : %s\n", p.Method())
 	if s, ok := p.Rewriting(); ok {
@@ -223,17 +223,12 @@ func cmdBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	file := fs.String("file", "", "request file (default: stdin)")
 	workers := fs.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
-	shardSize := fs.Int("shard-size", 0, fmt.Sprintf("requests per batch shard (default %d)", cqa.DefaultBatchShardSize))
-	compileWorkers := fs.Int("compile-workers", 0, "concurrent plan compilations in the batch pre-pass (default: workers)")
 	format := fs.String("format", "lines", `request format: "lines", "ndjson" or "csv"`)
 	maxLine := fs.Int("max-line", defaultMaxLine, "maximum request line length in bytes")
 	showStats := fs.Bool("stats", false, "print the engine's full Stats snapshot (plan cache, memo hits/repairs/cold builds) after the summary")
 	fs.Parse(args)
 	if *maxLine <= 0 {
 		return fmt.Errorf("-max-line must be positive, got %d", *maxLine)
-	}
-	if *shardSize < 0 {
-		return fmt.Errorf("-shard-size must not be negative, got %d", *shardSize)
 	}
 
 	var r io.Reader = os.Stdin
@@ -245,7 +240,7 @@ func cmdBatch(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	eng := cqa.NewEngine(cqa.EngineConfig{Workers: *workers, BatchShardSize: *shardSize, CompileWorkers: *compileWorkers})
+	eng := cqa.NewEngine(cqa.EngineConfig{Workers: *workers})
 	lr := newLineReader(r, *maxLine)
 
 	run := batchLines
@@ -347,16 +342,19 @@ func batchLines(eng *cqa.Engine, lr *lineReader, w io.Writer) (int, error) {
 	total := 0
 	var reqs []cqa.Request
 	var nums []int
+	// texts holds each query as written: Query.String() renders "A b"
+	// and "Ab" alike.
+	var texts []string
 	flush := func() error {
 		for j, res := range eng.CertainBatch(context.Background(), reqs) {
 			if res.Err != nil {
-				fmt.Fprintf(out, "%-4d %-12v error: %v\n", nums[j], reqs[j].Query, res.Err)
+				fmt.Fprintf(out, "%-4d %-12s error: %v\n", nums[j], texts[j], res.Err)
 				continue
 			}
-			fmt.Fprintf(out, "%-4d %-12v certain=%-5v class=%v method=%s\n",
-				nums[j], reqs[j].Query, res.Certain, res.Class, res.Method)
+			fmt.Fprintf(out, "%-4d %-12s certain=%-5v class=%v method=%s\n",
+				nums[j], texts[j], res.Certain, res.Class, res.Method)
 		}
-		reqs, nums = reqs[:0], nums[:0]
+		reqs, nums, texts = reqs[:0], nums[:0], texts[:0]
 		return out.Flush()
 	}
 	for {
@@ -378,7 +376,8 @@ func batchLines(eng *cqa.Engine, lr *lineReader, w io.Writer) (int, error) {
 		if !ok {
 			return total, fmt.Errorf("line %d: want \"QUERY ; FACTS\", got %q", lr.line, line)
 		}
-		q, err := cqa.ParseQuery(strings.TrimSpace(qpart))
+		qtext := strings.TrimSpace(qpart)
+		q, err := cqa.ParseQuery(qtext)
 		if err != nil {
 			return total, fmt.Errorf("line %d: %w", lr.line, err)
 		}
@@ -389,6 +388,7 @@ func batchLines(eng *cqa.Engine, lr *lineReader, w io.Writer) (int, error) {
 		total++
 		reqs = append(reqs, cqa.Request{Query: q, DB: db})
 		nums = append(nums, total)
+		texts = append(texts, qtext)
 		if len(reqs) >= batchChunk {
 			if err := flush(); err != nil {
 				return total, err

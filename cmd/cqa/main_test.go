@@ -126,6 +126,30 @@ func TestBatchStatsLineReportsMemoCounters(t *testing.T) {
 	}
 }
 
+// TestBatchLinesEchoesQueryAsWritten: the lines format prints each
+// query as the request spelled it. "A b" (two symbols) and "Ab" (one)
+// are different words that Query.String() renders alike.
+func TestBatchLinesEchoesQueryAsWritten(t *testing.T) {
+	in := "A b ; A(0,1) b(1,2)\n  Ab ; A(0,1) b(1,2)\n"
+	var out strings.Builder
+	if _, err := batchLines(testEngine(), newLineReader(strings.NewReader(in), defaultMaxLine), &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	want := []string{
+		fmt.Sprintf("%-4d %-12s certain=%-5v", 1, "A b", true),
+		fmt.Sprintf("%-4d %-12s certain=%-5v", 2, "Ab", false),
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("want %d result lines, got %q", len(want), out.String())
+	}
+	for i := range want {
+		if !strings.HasPrefix(lines[i], want[i]) {
+			t.Errorf("line %d:\n got %q\nwant prefix %q", i+1, lines[i], want[i])
+		}
+	}
+}
+
 func TestBatchLinesErrorsCarryLineNumbers(t *testing.T) {
 	in := "RRX ; R(0,1)\n\n# comment\nBOGUS-LINE\n"
 	_, err := batchLines(testEngine(), newLineReader(strings.NewReader(in), defaultMaxLine), io.Discard)
@@ -145,7 +169,7 @@ func TestBatchLinesMaxLine(t *testing.T) {
 // TestBatchRejectsBadSizeFlags: cqa batch rejects an out-of-range size
 // flag with an error naming the flag, before reading any request.
 func TestBatchRejectsBadSizeFlags(t *testing.T) {
-	for _, args := range [][]string{{"-max-line", "0"}, {"-shard-size", "-1"}} {
+	for _, args := range [][]string{{"-max-line", "0"}, {"-max-line", "-1"}} {
 		if err := cmdBatch(args); err == nil || !strings.Contains(err.Error(), args[0]) {
 			t.Errorf("cqa batch %s: got %v, want an error naming %s", strings.Join(args, " "), err, args[0])
 		}

@@ -16,9 +16,7 @@
 // dispatching to the cheapest applicable solver tier:
 //
 //   - FO: the consistent first-order rewriting of Lemma 13;
-//   - NL: the loop-decomposition procedure of Section 6.3 (with its
-//     generated linear Datalog program available via the internal nl
-//     package);
+//   - NL: the loop-decomposition procedure of Section 6.3;
 //   - PTIME: the fixpoint algorithm of Figure 5;
 //   - coNP: CDCL SAT on a polynomial encoding of the complement.
 //
@@ -28,8 +26,9 @@
 // many (query, instance) pairs concurrently on a worker pool.
 //
 // Every tier is differentially tested against exhaustive repair
-// enumeration; see DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the paper-artifact reproductions.
+// enumeration. The paper-artifact reproductions are cmd/cqabench's
+// experiments E1–E13, which cmd/cqabench/main_test.go runs with the
+// package tests.
 package cqa
 
 import (

@@ -31,14 +31,14 @@
 //
 // CertainBatch is a two-phase sharded scheduler. A pre-pass groups the
 // requests by query word and compiles every distinct word's plan
-// concurrently (bounded by EngineConfig.CompileWorkers), off the
+// concurrently (bounded by EngineConfig.Workers), off the
 // evaluation workers' critical path — a worker never sits inside
 // plan.Compile while runnable requests wait behind it, which matters
 // when one cold word's compilation (e.g. the DFA certification of an NL
 // decomposition) would otherwise stall a whole chunk. Evaluation then
 // dispatches shards — a compiled plan plus a run of request indexes,
 // reordered within each word so requests against the same instance are
-// consecutive (capped at EngineConfig.BatchShardSize per shard). Since
+// consecutive (at most 32 requests per shard). Since
 // the tiers memoize their instance-bound artifacts per interned
 // snapshot, snapshot-affine runs landing on one worker turn what would
 // be contended build-once memo entries into warm hits: each (plan,
@@ -128,37 +128,27 @@ type EngineConfig struct {
 	// LRU cache. 0 means DefaultPlanCacheSize.
 	PlanCacheSize int
 	// Workers is the number of evaluation goroutines CertainBatch
-	// runs. 0 means runtime.GOMAXPROCS(0).
+	// runs, and the bound on how many distinct query words its
+	// pre-pass compiles concurrently. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// CompileWorkers bounds how many distinct query words the
-	// CertainBatch pre-pass compiles concurrently. 0 means Workers, so
-	// by default plan compilation is bounded by the same pool size as
-	// evaluation.
-	CompileWorkers int
-	// BatchShardSize caps how many requests one CertainBatch shard
-	// carries. Larger shards maximize snapshot affinity and minimize
-	// dispatch overhead; smaller shards balance load across workers.
-	// 0 (or negative) means DefaultBatchShardSize.
-	BatchShardSize int
 }
 
 // DefaultPlanCacheSize is the plan-cache bound used when
 // EngineConfig.PlanCacheSize is 0.
 const DefaultPlanCacheSize = 256
 
-// DefaultBatchShardSize is the per-shard request cap used when
-// EngineConfig.BatchShardSize is 0.
-const DefaultBatchShardSize = 32
+// batchShardSize caps how many requests one CertainBatch shard
+// carries. Larger shards maximize snapshot affinity and minimize
+// dispatch overhead; smaller shards balance load across workers.
+const batchShardSize = 32
 
 // Engine evaluates CERTAINTY(q, db) through an LRU cache of compiled
 // plans keyed by the query word, plus a worker pool for batch
 // evaluation. The zero value is not usable; construct with NewEngine.
 // An Engine is safe for concurrent use.
 type Engine struct {
-	capacity       int
-	workers        int
-	compileWorkers int
-	shardSize      int
+	capacity int
+	workers  int
 
 	// compiles counts plan.Compile executions, shards batch shards
 	// dispatched; both are incremented outside the cache lock.
@@ -198,19 +188,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.CompileWorkers <= 0 {
-		cfg.CompileWorkers = cfg.Workers
-	}
-	if cfg.BatchShardSize <= 0 {
-		cfg.BatchShardSize = DefaultBatchShardSize
-	}
 	e := &Engine{
-		capacity:       cfg.PlanCacheSize,
-		workers:        cfg.Workers,
-		compileWorkers: cfg.CompileWorkers,
-		shardSize:      cfg.BatchShardSize,
-		order:          list.New(),
-		index:          make(map[string]*list.Element),
+		capacity: cfg.PlanCacheSize,
+		workers:  cfg.Workers,
+		order:    list.New(),
+		index:    make(map[string]*list.Element),
 	}
 	e.memoScale.Store(math.Float64bits(1))
 	return e
@@ -431,7 +413,7 @@ func (e *Engine) certainBatchSharded(ctx context.Context, reqs []Request, out []
 	// word keeps flowing to the evaluation workers. On cancellation the
 	// remaining groups are still drained, so every undispatched request
 	// gets its Err set exactly once.
-	compilers := e.compileWorkers
+	compilers := e.workers
 	if compilers > len(groups) {
 		compilers = len(groups)
 	}
@@ -455,7 +437,7 @@ func (e *Engine) certainBatchSharded(ctx context.Context, reqs []Request, out []
 				}
 				p := e.Compile(g.query)
 				for lo := 0; lo < len(g.idxs); {
-					hi := lo + e.shardSize
+					hi := lo + batchShardSize
 					if hi > len(g.idxs) {
 						hi = len(g.idxs)
 					}

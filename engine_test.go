@@ -290,7 +290,7 @@ func distinctWords(reqs []Request) int {
 func TestCertainBatchShardedMatchesSequential(t *testing.T) {
 	const nInstances = 8
 	reqs := skewedShardWorkload(nInstances, 60, 3)
-	sharded := NewEngine(EngineConfig{Workers: 8, CompileWorkers: 4, BatchShardSize: 4})
+	sharded := NewEngine(EngineConfig{Workers: 8})
 	sequential := NewEngine(EngineConfig{})
 
 	got := sharded.CertainBatch(context.Background(), reqs)
@@ -332,7 +332,7 @@ func TestCertainBatchShardedMatchesSequential(t *testing.T) {
 // with an uncancelled reference run — no partial or stale decisions.
 func TestCertainBatchShardedCancellation(t *testing.T) {
 	reqs := skewedShardWorkload(4, 40, 8)
-	ref := NewEngine(EngineConfig{BatchShardSize: 4}).CertainBatch(context.Background(), reqs)
+	ref := NewEngine(EngineConfig{}).CertainBatch(context.Background(), reqs)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -340,7 +340,7 @@ func TestCertainBatchShardedCancellation(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	got := NewEngine(EngineConfig{Workers: 4, BatchShardSize: 2}).CertainBatch(ctx, reqs)
+	got := NewEngine(EngineConfig{Workers: 4}).CertainBatch(ctx, reqs)
 	cancelled := 0
 	for i, res := range got {
 		if res.Err != nil {

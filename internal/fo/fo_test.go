@@ -200,7 +200,7 @@ func TestCertainStartsSound(t *testing.T) {
 }
 
 // TestLemma12Incompleteness is the machine-checked record of the
-// reproduction finding documented in DESIGN.md: the Lemma 12 rewriting ψ
+// reproduction finding noted in rewriting.go: the Lemma 12 rewriting ψ
 // is not complete for CERTAINTY(q[c]) on arbitrary path queries. On this
 // instance every repair has an exact RRX-path starting at c (the repair
 // that chooses R(c,c) realizes it by reusing the fact R(c,c) twice), yet
@@ -215,7 +215,7 @@ func TestLemma12Incompleteness(t *testing.T) {
 	}
 	if certainStarts(db, q)["c"] {
 		t.Fatal("ψ(c) is expected to be false on this instance; if this " +
-			"fails the Lemma 12 discrepancy documented in DESIGN.md no longer reproduces")
+			"fails the Lemma 12 discrepancy no longer reproduces")
 	}
 }
 

@@ -17,12 +17,12 @@ import (
 // Lemma 13: if q satisfies C1, then ∃x ψ(x) is a consistent first-order
 // rewriting for CERTAINTY(q).
 //
-// Reproduction note (documented in DESIGN.md): ψ is always SOUND
-// (db ⊨ ψ(c) implies every repair has an exact-trace-q path from c), but
-// as stated in Lemma 12 it is not complete for arbitrary q: a repair may
-// complete the walk by cyclically REUSING its own choice in a block that
-// ψ's ∀-unfolding quantifies over afresh. Counterexample (machine-checked
-// in the tests): q = RRX, db = {R(a,b), R(b,a), R(c,a), R(c,c), X(b,b),
+// Reproduction note: ψ is always SOUND (db ⊨ ψ(c) implies every repair
+// has an exact-trace-q path from c), but as stated in Lemma 12 it is not
+// complete for arbitrary q: a repair may complete the walk by cyclically
+// REUSING its own choice in a block that ψ's ∀-unfolding quantifies over
+// afresh. Counterexample (machine-checked by TestLemma12Incompleteness):
+// q = RRX, db = {R(a,b), R(b,a), R(c,a), R(c,c), X(b,b),
 // X(c,a)} — every repair has an exact RRX-path from c (the repair
 // choosing R(c,c) uses R(c,c) twice), yet ψ(c) is false. ψ IS exact for
 // the word shapes on which the paper relies on it: self-join-free words

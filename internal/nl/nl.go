@@ -2,9 +2,10 @@
 // for path queries q satisfying condition C2, CERTAINTY(q) is decided by
 // the predicates P and O of Lemma 14 (Claims 2–4), computed here with
 // reachability over loop-step graphs, with first-order terminal tests
-// (Lemma 17 via Lemma 12) at the leaves. The same procedure is also
-// emitted as a linear Datalog program with stratified negation (Claim 5)
-// runnable on internal/datalog.
+// (Lemma 17 via Lemma 12) at the leaves. Claim 5 restates the procedure
+// as a linear Datalog program with stratified negation; that
+// reproduction was retired, since the loop procedure itself is what
+// decides NL-class queries.
 //
 // A C2 query decomposes (Lemma 3: C2 = B2a ∪ B2b) as
 //

@@ -231,7 +231,7 @@ func FromMCVP(q words.Word, c *circuits.Circuit, sigma map[string]bool) (*instan
 		}
 	}
 	if chosen == nil {
-		// Reproduction finding (documented in DESIGN.md): the Lemma 20
+		// Reproduction finding (checked by TestLemma20Rejections): the Lemma 20
 		// proof asserts "the first relation names of v1+ and v2+ are
 		// different", which presumes both margins are nonempty. For
 		// q = RRSRS (the paper's own shortest C2-violating word of form

@@ -163,7 +163,7 @@ func TestLemma20Rejections(t *testing.T) {
 	}
 	// Reproduction finding: RRSRS is PTIME-complete but its only
 	// violating triple has an empty v1+ margin, so the Lemma 20 gadget
-	// as stated in the paper does not apply (see DESIGN.md).
+	// as stated in the paper does not apply (see the finding in FromMCVP).
 	if _, err := FromMCVP(words.MustParse("RRSRS"), c, sigma); err == nil {
 		t.Error("RRSRS has no usable triple; must refuse with an explanatory error")
 	}

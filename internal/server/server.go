@@ -70,6 +70,13 @@ const DefaultMaxLine = 1 << 20
 // maxBodyBytes bounds non-streaming request bodies (register, mutate).
 const maxBodyBytes = 64 << 20
 
+// maxQuerySymbols bounds the length of a query word the daemon accepts.
+// A word is compiled on the connection goroutine, before admission and
+// without a deadline, and compile time grows about as n⁴ on NL words
+// with long self-join runs: on a 2-vCPU Xeon VM, R⁶⁴X compiles in about
+// 35 ms and R¹²⁷X in about 0.5 s.
+const maxQuerySymbols = 64
+
 // TimeoutHeader is the REST per-request deadline header: the number of
 // milliseconds the request may spend queued plus evaluating. "0"
 // disables the server's default timeout for this request.
@@ -231,6 +238,16 @@ func (s *Server) watchMemory(limit int64, every time.Duration) {
 			}
 		}
 	}
+}
+
+// parseQuery parses a query from the wire and rejects a word of more
+// than maxQuerySymbols symbols, so that nothing compiles it.
+func parseQuery(s string) (cqa.Query, error) {
+	q, err := cqa.ParseQuery(s)
+	if err == nil && q.Len() > maxQuerySymbols {
+		return cqa.Query{}, fmt.Errorf("server: query has %d symbols, more than the limit of %d", q.Len(), maxQuerySymbols)
+	}
+	return q, err
 }
 
 // heavyQuery reports whether q dispatches to the SAT tier — the
@@ -477,7 +494,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The response echoes the query as sent: the display form of the
 	// parsed word is not injective ("A b" and "Ab" both render "Ab").
 	raw := r.URL.Query().Get("q")
-	q, err := cqa.ParseQuery(raw)
+	q, err := parseQuery(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -680,7 +697,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp := queryResponse{Index: index, Query: qs}
-		if q, err := cqa.ParseQuery(qs); err != nil {
+		if q, err := parseQuery(qs); err != nil {
 			resp.Error = err.Error()
 			qIdx = append(qIdx, -1)
 		} else {

@@ -126,6 +126,52 @@ func TestServeQueryEchoesWireQuery(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOverlongQueries: a word of more than maxQuerySymbols
+// symbols is refused before anything compiles it, with 400 over REST
+// and a per-line error in a batch stream whose other lines still
+// answer. A word at the limit is answered.
+func TestServeRejectsOverlongQueries(t *testing.T) {
+	s, ts := newTestServer(t)
+	if code, body := mustPost(t, ts.URL+"/instances/alpha", serveFacts()); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	var warm queryResponse
+	mustGetJSON(t, ts.URL+"/instances/alpha/query?q=RX", &warm)
+	misses := s.reg.Engine().Stats().Plans.Misses
+
+	long := strings.Repeat("R", maxQuerySymbols) + "X"
+	resp, err := http.Get(ts.URL + "/instances/alpha/query?q=" + long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("REST query of %d symbols: status %d, want 400", len(long), resp.StatusCode)
+	}
+	out := runBatch(t, ts.URL, "alpha", []string{"RX", long, `{"query":"` + long + `"}`, "RX"})
+	if len(out) != 4 {
+		t.Fatalf("batch: want 4 responses, got %+v", out)
+	}
+	for i, r := range out {
+		if overlong := i == 1 || i == 2; overlong != (r.Error != "") || overlong == (r.Certain != nil) {
+			t.Errorf("batch line %d: %+v", i+1, r)
+		}
+	}
+	if got := s.reg.Engine().Stats().Plans.Misses; got != misses {
+		t.Errorf("overlong words reached the plan cache: misses %d → %d", misses, got)
+	}
+
+	atLimit := strings.Repeat("R", maxQuerySymbols-1) + "X"
+	var r queryResponse
+	mustGetJSON(t, ts.URL+"/instances/alpha/query?q="+atLimit, &r)
+	if r.Error != "" || r.Certain == nil {
+		t.Errorf("REST query of %d symbols: %+v", len(atLimit), r)
+	}
+	if out := runBatch(t, ts.URL, "alpha", []string{atLimit}); len(out) != 1 || out[0].Certain == nil {
+		t.Errorf("batch line of %d symbols: %+v", len(atLimit), out)
+	}
+}
+
 // TestServeEndToEnd is the serve-loop e2e of the issue: register over
 // HTTP, stream queries, mutate, and assert via /metrics that
 // post-mutation decisions are lineage repairs (not cold builds) and
