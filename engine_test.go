@@ -178,8 +178,8 @@ func TestCertainBatchMatchesSequential(t *testing.T) {
 }
 
 // TestCertainBatchSharedInstance exercises many concurrent evaluations
-// over one shared *Instance (the memoized accessor views must be
-// race-free; run with -race).
+// over one shared *Instance (the first reads race to publish its one
+// interned snapshot, which must be race-free; run with -race).
 func TestCertainBatchSharedInstance(t *testing.T) {
 	db := workload.Random(workload.Config{
 		Relations:    []string{"R", "X", "Y"},

@@ -369,24 +369,46 @@ func (cp *Compiled) solve(iv *instance.Interned, b *Binding) *Result {
 			copy(pending[b.base[v]:], pb.pendingInit)
 		}
 	}
+
+	// Initialization step: ⟨c, q⟩ for every c ∈ adom(db).
 	queue := make([]int32, 0, nc)
+	for c := 0; c < nc; c++ {
+		idx := c*stride + n
+		bits.Set(idx)
+		queue = append(queue, int32(idx))
+	}
+	cp.drain(b, bits, pending, queue)
+
+	res.bits = bits
+	res.startBits = bitset.New(nc)
+	for c := 0; c < nc; c++ {
+		if bits.Test(c * stride) {
+			res.Certain = true
+			res.startBits.Set(c)
+			res.Starts = append(res.Starts, iv.Const(int32(c)))
+		}
+	}
+	return res
+}
+
+// drain runs the worklist to its fixpoint from queue. Every queued pair
+// must be set in bits, and pending must hold the block states' counters
+// after every decrement made so far; drain extends both. The
+// single-core solve seeds it with the initialization step's pairs, and
+// a parallel solve with its frontier once that falls below
+// drainThreshold.
+func (cp *Compiled) drain(b *Binding, bits bitset.Bits, pending, queue []int32) {
+	stride := len(cp.q) + 1
+	// Backward closure: when ⟨c, u⟩ is derived forward, also add ⟨c, w⟩
+	// for every state w with a backward ε-transition to u, i.e. every
+	// longer prefix w ending with the same relation name as u.
+	backSources := cp.backSources
 	add := func(idx int) {
 		if !bits.Test(idx) {
 			bits.Set(idx)
 			queue = append(queue, int32(idx))
 		}
 	}
-
-	// Initialization step: ⟨c, q⟩ for every c ∈ adom(db).
-	for c := 0; c < nc; c++ {
-		add(c*stride + n)
-	}
-
-	// Backward closure: when ⟨c, u⟩ is derived forward, also add ⟨c, w⟩
-	// for every state w with a backward ε-transition to u, i.e. every
-	// longer prefix w ending with the same relation name as u.
-	backSources := cp.backSources
-
 	for head := 0; head < len(queue); head++ {
 		idx := int(queue[head])
 		u := idx % stride
@@ -415,17 +437,6 @@ func (cp *Compiled) solve(iv *instance.Interned, b *Binding) *Result {
 			}
 		}
 	}
-
-	res.bits = bits
-	res.startBits = bitset.New(nc)
-	for c := 0; c < nc; c++ {
-		if bits.Test(c * stride) {
-			res.Certain = true
-			res.startBits.Set(c)
-			res.Starts = append(res.Starts, iv.Const(int32(c)))
-		}
-	}
-	return res
 }
 
 // Trace records one round of the naive implementation: the pairs added
@@ -451,12 +462,13 @@ func SolveNaive(db *instance.Instance, q words.Word) (*Result, []Trace) {
 	for _, c := range adom {
 		inN[Pair{c, n}] = true
 	}
+	blocks := db.Blocks()
 	var traces []Trace
 	for round := 1; ; round++ {
 		var added []Pair
 		for u := 0; u < n; u++ {
 			rel := q[u]
-			for _, id := range db.Blocks() {
+			for _, id := range blocks {
 				if id.Rel != rel || inN[Pair{id.Key, u}] {
 					continue
 				}

@@ -32,7 +32,7 @@ func (c *Compiled) ParallelStats() ParallelStats {
 }
 
 // drainThreshold is the frontier size below which a parallel solve
-// falls back to the sequential worklist drain: once a round derives
+// falls back to the single-core worklist drain: once a round derives
 // only a few thousand pairs, per-round fork/merge overhead exceeds the
 // scan work, and — crucially — deep derivation chains (whose frontiers
 // are tiny) finish in one drain instead of one synchronized round per
@@ -120,7 +120,9 @@ func (cp *Compiled) solveParallel(ctx context.Context, iv *instance.Interned, b 
 			return nil, err
 		}
 		if count < drainThreshold {
-			cp.drainSequential(b, bits, frontier, pending, glo, ghi)
+			queue := make([]int32, 0, drainThreshold)
+			frontier.ForEachIn(glo<<6, ghi<<6, func(idx int) { queue = append(queue, int32(idx)) })
+			cp.drain(b, bits, pending, queue)
 			break
 		}
 		// Scan phase.
@@ -246,49 +248,4 @@ func (cp *Compiled) solveParallel(ctx context.Context, iv *instance.Interned, b 
 	}
 	res.Certain = len(res.Starts) > 0
 	return res, nil
-}
-
-// drainSequential finishes a parallel solve with the standard
-// sequential worklist once the frontier is small: the remaining
-// frontier bits seed the queue, and derivation proceeds exactly as in
-// SolveInterned (bits and pending are already consistent — every
-// frontier bit is set in bits, and pending holds the counters after
-// all scanned decrements).
-func (cp *Compiled) drainSequential(b *Binding, bits, frontier bitset.Bits, pending []int32, glo, ghi int) {
-	n := len(cp.q)
-	stride := n + 1
-	queue := make([]int32, 0, drainThreshold)
-	frontier.ForEachIn(glo<<6, ghi<<6, func(idx int) { queue = append(queue, int32(idx)) })
-	backSources := cp.backSources
-	add := func(idx int) {
-		if !bits.Test(idx) {
-			bits.Set(idx)
-			queue = append(queue, int32(idx))
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		idx := int(queue[head])
-		u := idx % stride
-		if u == 0 {
-			continue
-		}
-		v := u - 1
-		pb := b.pos[v]
-		if pb == nil {
-			continue
-		}
-		c := idx / stride
-		vbase := b.base[v]
-		for _, ls := range pb.refList[pb.refStart[c]:pb.refStart[c+1]] {
-			bs := vbase + ls
-			pending[bs]--
-			if pending[bs] == 0 {
-				base := int(pb.blockKey[ls]) * stride
-				add(base + v)
-				for _, w := range backSources[v] {
-					add(base + w)
-				}
-			}
-		}
-	}
 }

@@ -144,9 +144,10 @@ func (q *Query) Satisfies(db *instance.Instance) bool {
 			cur[c] = true
 		}
 	}
+	blocks := db.Blocks()
 	for i := q.Len() - 1; i >= 0; i-- {
 		next := map[string]bool{}
-		for _, id := range db.Blocks() {
+		for _, id := range blocks {
 			if id.Rel != q.Rels[i] || !allowed(i, id.Key) {
 				continue
 			}

@@ -15,23 +15,23 @@ import (
 
 // ReadCSVParallel reads an instance from the same CSV format as
 // ReadCSV with a streaming parallel pipeline: a reader goroutine cuts
-// the input into newline-aligned chunks, parse workers turn chunks
-// into fact batches (a manual fast path for unquoted rows, a per-row
-// encoding/csv reader for quoted ones), and a dedup/build stage folds
-// the batches into the instance while the block index and the
-// occurrence counts build on separate goroutines. The finalize step
-// then builds the canonical interned snapshot — id tables from the
-// sorted domain, per-relation block lists, value interning — with the
-// heavy loops sharded, and publishes it, so the first decision after a
-// bulk load starts from a warm snapshot instead of paying a serial
-// O(|db|) intern.
+// the input into chunks that end at a record end, parse workers turn
+// chunks into fact batches (a manual fast path for unquoted rows, a
+// per-record encoding/csv reader for quoted ones, whose fields may span
+// lines), and a dedup/build stage folds the batches into the instance
+// while the block index and the occurrence counts build on separate
+// goroutines. The finalize step sorts the block values, sharded, and
+// builds and publishes the root snapshot with the builder Interned
+// uses, its interning sharded too, so the first decision after a bulk
+// load starts from a warm snapshot instead of paying a serial O(|db|)
+// intern.
 //
 // The resulting instance is Equal to ReadCSV's: same facts, same block
-// index, same occurrence counts, same interned id order. Malformed
-// input yields the error of the lowest-numbered bad line (message
-// wording may differ from ReadCSV's for unquoted rows). workers <= 0
-// means GOMAXPROCS; workers == 1 delegates to ReadCSV (plus the
-// snapshot pre-build, for parity).
+// index, same occurrence counts, same interned snapshot. Malformed
+// input yields the error of the lowest-numbered bad record, named by
+// the line it starts on, as ReadCSV's error is (message wording may
+// differ for unquoted rows). workers <= 0 means GOMAXPROCS; workers ==
+// 1 delegates to ReadCSV (plus the snapshot pre-build, for parity).
 func ReadCSVParallel(r io.Reader, workers int) (*Instance, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -72,16 +72,18 @@ func ReadCSVParallel(r io.Reader, workers int) (*Instance, error) {
 	rawCh := make(chan rawChunk, workers)
 	factCh := make(chan []Fact, workers)
 
-	// Reader: fixed-size chunks split at the last newline; the partial
-	// trailing line carries into the next chunk. Production stops early
-	// once any stage has failed.
+	// Reader: fixed-size chunks cut after their last complete record;
+	// the partial trailing record carries into the next chunk. Production
+	// stops early once any stage has failed.
 	const chunkBytes = 1 << 18
 	go func() {
 		defer close(rawCh)
 		line := 1
 		var pending []byte
 		for {
-			buf := make([]byte, len(pending)+chunkBytes)
+			// A record longer than a chunk doubles the next read, so that
+			// it costs time linear in its length.
+			buf := make([]byte, len(pending)+max(chunkBytes, len(pending)))
 			n := copy(buf, pending)
 			m, rerr := io.ReadFull(r, buf[n:])
 			buf = buf[:n+m]
@@ -89,20 +91,28 @@ func ReadCSVParallel(r io.Reader, workers int) (*Instance, error) {
 				fail(line, fmt.Errorf("instance: read csv: %w", rerr))
 				return
 			}
-			if rerr != nil { // EOF: flush everything, including a final unterminated line
+			if rerr != nil { // EOF: flush everything, including a final unterminated record
 				if len(buf) > 0 && !failed() {
 					rawCh <- rawChunk{buf, line}
 				}
 				return
 			}
-			cut := bytes.LastIndexByte(buf, '\n')
-			if cut < 0 {
-				// A single line longer than the chunk: keep growing.
+			cut := bytes.LastIndexByte(buf, '\n') + 1
+			if bytes.IndexByte(buf, '"') >= 0 {
+				// A quoted field may hold newlines: cut after the last
+				// complete record instead.
+				cut = 0
+				for n := recordEnd(buf); n > 0; n = recordEnd(buf[cut:]) {
+					cut += n
+				}
+			}
+			if cut == 0 {
+				// A single record longer than the chunk: keep growing.
 				pending = buf
 				continue
 			}
-			send := buf[:cut+1]
-			pending = append([]byte(nil), buf[cut+1:]...)
+			send := buf[:cut]
+			pending = append([]byte(nil), buf[cut:]...)
 			if failed() {
 				return
 			}
@@ -189,15 +199,36 @@ func ReadCSVParallel(r io.Reader, workers int) (*Instance, error) {
 	return db, nil
 }
 
-// parseCSVChunk parses one newline-aligned chunk. On error it returns
-// the absolute line number of the first bad row in the chunk.
+// recordEnd returns the length of the CSV record at the start of data,
+// its ending newline included, or 0 when data holds no complete
+// record. A comment line is a record of its own, quotes and all; any
+// other record ends at the first newline outside quotes, by quote
+// parity counted from the record start. On input that ReadCSV accepts
+// the parity is exact, so the records are encoding/csv's. A record
+// with a stray quote may run on past encoding/csv's end, but it starts
+// where encoding/csv's does and holds the bytes its parse fails on, so
+// it fails at the same line.
+func recordEnd(data []byte) int {
+	quoted, comment := false, len(data) > 0 && data[0] == '#'
+	for i, c := range data {
+		if c == '"' && !comment {
+			quoted = !quoted
+		} else if c == '\n' && !quoted {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// parseCSVChunk parses one chunk of complete records. On error it
+// returns the absolute line number of the first bad record's start.
 func parseCSVChunk(data []byte, firstLine int) ([]Fact, int, error) {
 	facts := make([]Fact, 0, len(data)/12)
 	line := firstLine
 	for len(data) > 0 {
 		var row []byte
-		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-			row, data = data[:nl], data[nl+1:]
+		if n := recordEnd(data); n > 0 {
+			row, data = data[:n-1], data[n:]
 		} else {
 			row, data = data, nil
 		}
@@ -213,6 +244,7 @@ func parseCSVChunk(data []byte, firstLine int) ([]Fact, int, error) {
 		}
 		var rel, key, val string
 		if bytes.IndexByte(row, '"') >= 0 {
+			line += bytes.Count(row, []byte{'\n'})
 			rec, err := parseQuotedRow(row)
 			if err != nil {
 				return nil, ln, fmt.Errorf("instance: read csv: line %d: %w", ln, err)
@@ -247,8 +279,8 @@ func parseCSVChunk(data []byte, firstLine int) ([]Fact, int, error) {
 	return facts, 0, nil
 }
 
-// parseQuotedRow parses a single row containing quotes through
-// encoding/csv with ReadCSV's exact configuration.
+// parseQuotedRow parses a single record containing quotes, which may
+// span lines, through encoding/csv with ReadCSV's exact configuration.
 func parseQuotedRow(row []byte) ([]string, error) {
 	cr := csv.NewReader(bytes.NewReader(row))
 	cr.Comment = '#'
@@ -264,29 +296,18 @@ func parseQuotedRow(row []byte) ([]string, error) {
 	return rec, nil
 }
 
-// finalizeBulk sorts the bulk-built indexes into the canonical order
-// Add maintains incrementally, builds the interned snapshot, and
-// publishes both. The per-block value sorts, the block partition, and
-// the value interning shard across workers; the id tables (maps) build
-// serially.
+// finalizeBulk sorts each block's values into the order Add maintains
+// incrementally, sharded across workers and overlapped with the sort of
+// the active domain, then builds the root snapshot with the same
+// builder as Interned and publishes it.
 func finalizeBulk(db *Instance, workers int) {
-	// Sorted active domain, overlapped with the per-block value sorts.
-	var adom []string
-	var adomWG sync.WaitGroup
-	adomWG.Add(1)
+	var consts []string
+	done := make(chan struct{})
 	go func() {
-		defer adomWG.Done()
-		adom = make([]string, 0, len(db.adom))
-		for c := range db.adom {
-			adom = append(adom, c)
-		}
-		sort.Strings(adom)
+		defer close(done)
+		consts = sortedNames(db.adom)
 	}()
-
-	bids := make([]BlockID, 0, len(db.blocks))
-	for id := range db.blocks {
-		bids = append(bids, id)
-	}
+	bids := db.blockIDs()
 	bb := par.Blocks(len(bids), workers, 1)
 	par.Run(len(bb)-1, func(w int) {
 		for _, id := range bids[bb[w]:bb[w+1]] {
@@ -296,66 +317,6 @@ func finalizeBulk(db *Instance, workers int) {
 			}
 		}
 	})
-	adomWG.Wait()
-
-	rels := make([]string, 0, len(db.rels))
-	for r := range db.rels {
-		rels = append(rels, r)
-	}
-	sort.Strings(rels)
-
-	iv := &Interned{
-		consts:  adom,
-		constID: make(map[string]int32, len(adom)),
-		rels:    rels,
-		relID:   make(map[string]int32, len(rels)),
-		blocks:  make([][]InternedBlock, len(rels)),
-		nfacts:  len(db.facts),
-	}
-	for i, s := range adom {
-		iv.constID[s] = int32(i)
-	}
-	for i, r := range rels {
-		iv.relID[r] = int32(i)
-	}
-
-	// Partition the blocks per relation with keys interned, in parallel
-	// (the id maps are read-only now), then sort each relation's blocks
-	// by key id — identical to the root build's (Rel, Key) string order
-	// because ids ascend with the strings.
-	type rawBlock struct {
-		key  int32
-		vals []string
-	}
-	nw := len(bb) - 1
-	parts := make([][][]rawBlock, nw)
-	par.Run(nw, func(w int) {
-		local := make([][]rawBlock, len(rels))
-		for _, id := range bids[bb[w]:bb[w+1]] {
-			rid := iv.relID[id.Rel]
-			local[rid] = append(local[rid], rawBlock{iv.constID[id.Key], db.blocks[id]})
-		}
-		parts[w] = local
-	})
-	for rid := range iv.blocks {
-		var rb []rawBlock
-		for w := 0; w < nw; w++ {
-			rb = append(rb, parts[w][rid]...)
-		}
-		sort.Slice(rb, func(i, j int) bool { return rb[i].key < rb[j].key })
-		out := make([]InternedBlock, len(rb))
-		ob := par.Blocks(len(rb), workers, 1)
-		par.Run(len(ob)-1, func(w int) {
-			for i := ob[w]; i < ob[w+1]; i++ {
-				vals := make([]int32, len(rb[i].vals))
-				for j, v := range rb[i].vals {
-					vals[j] = iv.constID[v]
-				}
-				out[i] = InternedBlock{Key: rb[i].key, Vals: vals}
-			}
-		})
-		iv.blocks[rid] = out
-	}
-
-	db.publish(viewCache{adom: adom, rels: rels, interned: iv})
+	<-done
+	db.publish(db.internRoot(consts, bids, workers))
 }

@@ -86,7 +86,7 @@ func TestReadCSVParallelEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		checkSameInstance(t, got, want)
-		if c := got.views.Load(); c == nil || c.interned == nil {
+		if got.snap.Load() == nil {
 			t.Fatalf("workers=%d: interned snapshot not pre-published", workers)
 		}
 	}
@@ -191,7 +191,7 @@ func TestReadCSVParallelWorkersOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameInstance(t, got, want)
-	if c := got.views.Load(); c == nil || c.interned == nil {
+	if got.snap.Load() == nil {
 		t.Fatal("workers=1: interned snapshot not pre-published")
 	}
 }
@@ -233,5 +233,57 @@ func BenchmarkReadCSV(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchLoadSink = db
+	}
+}
+
+// TestReadCSVParallelQuotedNewlines: a quoted field may span lines.
+// ReadCSV reads it (RFC 4180), and WriteCSV writes one for a constant
+// that holds a newline, so the parallel loader must cut chunks and
+// records only at newlines outside quotes, and count the lines a record
+// spans. The round trip spans several reader chunks, so some chunk cuts
+// fall next to multi-line fields.
+func TestReadCSVParallelQuotedNewlines(t *testing.T) {
+	small := "R,\"a\nb\",c\nR,c,d\nR,c,e\n"
+	quirks := "# a comment's \" stays a comment\n" +
+		"X,\"k\n# not a comment\",v\n" +
+		"Y,\"p\r\nq\",\"r,\"\"s\"\"\"\r\n" + small
+	src := New()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 30000; i++ {
+		k := fmt.Sprintf("k%d", rng.Intn(5000))
+		v := fmt.Sprintf("v%d", rng.Intn(5000))
+		switch i % 4 {
+		case 0:
+			v += "\nsecond line"
+		case 1:
+			k += "\n#x\n\"quoted\", too"
+		case 2:
+			v = "," + v + "\n\n" + v
+		}
+		src.AddFact([]string{"R", "S"}[i%2], k, v)
+	}
+	var roundTrip bytes.Buffer
+	if err := src.WriteCSV(&roundTrip); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{small, quirks, roundTrip.String()} {
+		want, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4} {
+			got, err := ReadCSVParallel(strings.NewReader(in), workers)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			checkSameInstance(t, got, want)
+		}
+	}
+	if back, _ := ReadCSV(strings.NewReader(roundTrip.String())); !back.Equal(src) {
+		t.Fatalf("WriteCSV output read back as %d facts, want %d", back.Size(), src.Size())
+	}
+	// A bad record after a multi-line one is named by its own line.
+	if _, err := ReadCSVParallel(strings.NewReader(small+"R,,d\n"), 2); err == nil || !strings.Contains(err.Error(), "line 5") {
+		t.Fatalf("error %v, want one naming line 5", err)
 	}
 }

@@ -2,14 +2,37 @@ package instance
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
 // reintern builds a lineage-root snapshot of the same fact set, for
-// comparing a delta-built snapshot against a from-scratch build.
-func reintern(db *Instance) *Interned {
-	return FromFacts(db.Facts()...).Interned()
+// comparing a delta-built snapshot against a from-scratch build. It
+// reads db's fact map, not a view of the snapshot under test, and adds
+// the facts to a fresh instance in an order shuffled by seed, so every
+// comparison also checks that a snapshot does not depend on the order
+// in which its facts were inserted.
+func reintern(db *Instance, seed int64) *Interned {
+	facts := make([]Fact, 0, len(db.facts))
+	for f := range db.facts {
+		facts = append(facts, f)
+	}
+	// Sort away the map order first, so that seed alone fixes the
+	// insertion order and a failure replays.
+	sort.Slice(facts, func(i, j int) bool {
+		a, b := facts[i], facts[j]
+		if a.Rel != b.Rel {
+			return a.Rel < b.Rel
+		}
+		if a.Key != b.Key {
+			return a.Key < b.Key
+		}
+		return a.Val < b.Val
+	})
+	rand.New(rand.NewSource(seed)).Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
+	return FromFacts(facts...).Interned()
 }
 
 // sameInterned asserts structural equality of two snapshots (names,
@@ -64,7 +87,7 @@ func TestDeltaInternAddExistingUniverse(t *testing.T) {
 	if &s2.blocks[sid][0] != &s1.blocks[sid][0] {
 		t.Fatalf("untouched relation's blocks must be aliased, not copied")
 	}
-	sameInterned(t, s2, reintern(db))
+	sameInterned(t, s2, reintern(db, 1))
 	// The parent is untouched.
 	if got := s1.Block(rid, kid); len(got) != 1 {
 		t.Fatalf("parent block mutated: %v", got)
@@ -86,7 +109,7 @@ func TestDeltaInternRemoveAndEmptiedBlock(t *testing.T) {
 	if s2.Delta() == nil || s2.Delta().Parent != s1 {
 		t.Fatalf("in-universe Remove should produce a delta child of s1")
 	}
-	sameInterned(t, s2, reintern(db))
+	sameInterned(t, s2, reintern(db, 1))
 
 	// Remove R(b,c): the block empties but b, c and R survive via other
 	// facts, so this still rides the delta path and must drop the block.
@@ -100,7 +123,7 @@ func TestDeltaInternRemoveAndEmptiedBlock(t *testing.T) {
 	if got := s3.Block(rid, kid); got != nil {
 		t.Fatalf("emptied block still present: %v", got)
 	}
-	sameInterned(t, s3, reintern(db))
+	sameInterned(t, s3, reintern(db, 1))
 }
 
 func TestDeltaInternUniverseChangeStartsRoot(t *testing.T) {
@@ -124,7 +147,7 @@ func TestDeltaInternUniverseChangeStartsRoot(t *testing.T) {
 			if s2.Delta() != nil {
 				t.Fatalf("universe change must start a fresh lineage root")
 			}
-			sameInterned(t, s2, reintern(db))
+			sameInterned(t, s2, reintern(db, 1))
 		})
 	}
 }
@@ -144,7 +167,7 @@ func TestDeltaInternDirtyOverflowStartsRoot(t *testing.T) {
 	if s2.Delta() != nil {
 		t.Fatalf("dirty overflow must start a fresh lineage root")
 	}
-	sameInterned(t, s2, reintern(db))
+	sameInterned(t, s2, reintern(db, 1))
 }
 
 func TestDeltaInternDepthCap(t *testing.T) {
@@ -167,7 +190,7 @@ func TestDeltaInternDepthCap(t *testing.T) {
 			t.Fatalf("chain should have restarted at the depth cap")
 		}
 	}
-	sameInterned(t, db.Interned(), reintern(db))
+	sameInterned(t, db.Interned(), reintern(db, 1))
 }
 
 func TestDeltaInternUndoCollapse(t *testing.T) {
@@ -202,7 +225,7 @@ func TestDeltaInternUndoCollapse(t *testing.T) {
 	if iv := db.Interned(); iv != ivB {
 		t.Fatalf("no-op mutation run interned %p, want %p", iv, ivB)
 	}
-	sameInterned(t, db.Interned(), reintern(db))
+	sameInterned(t, db.Interned(), reintern(db, 1))
 }
 
 func TestDeltaInternChurnEquivalence(t *testing.T) {
@@ -227,7 +250,7 @@ func TestDeltaInternChurnEquivalence(t *testing.T) {
 		} else {
 			db.Add(f)
 		}
-		sameInterned(t, db.Interned(), reintern(db))
+		sameInterned(t, db.Interned(), reintern(db, int64(step)))
 	}
 }
 

@@ -2,7 +2,9 @@ package instance
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -53,14 +55,54 @@ func FuzzParseFacts(f *testing.F) {
 	})
 }
 
+// FuzzReadCSV loads arbitrary bytes with ReadCSV and with
+// ReadCSVParallel on two workers. Either both succeed with the same
+// facts and the same interned snapshot, or both fail and name the same
+// line first: ReadCSV's error names the line its bad record starts on
+// before any other line.
+func FuzzReadCSV(f *testing.F) {
+	for _, s := range []string{
+		"# header comment\r\nR,a,b\r\n\n  R , a , c\nX,\"k,1\",\"va\"\"l\"\n# mid comment\nY,a,a\nX,last,row",
+		"R,\"a\nb\",c\nR,c,d\nR,c,e\n",
+		"R,a,b\nR,a\n",
+		"R,a,b\nR,,b\n",
+		"R,a,b\nR,\"a,b\n",
+		"R,a\"b,c\nR,c,d\n",
+		" # x\nR,a,b\n",
+	} {
+		f.Add(s)
+	}
+	lineRE := regexp.MustCompile(`line (\d+)`)
+	firstLine := func(err error) string {
+		if m := lineRE.FindStringSubmatch(err.Error()); m != nil {
+			return m[1]
+		}
+		return "none"
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, werr := ReadCSV(strings.NewReader(s))
+		got, gerr := ReadCSVParallel(strings.NewReader(s), 2)
+		switch {
+		case werr == nil && gerr == nil:
+			checkSameInstance(t, got, want)
+		case werr != nil && gerr != nil:
+			if wl, gl := firstLine(werr), firstLine(gerr); wl != gl {
+				t.Fatalf("on %q ReadCSV names line %s first (%v), ReadCSVParallel line %s (%v)", s, wl, werr, gl, gerr)
+			}
+		default:
+			t.Fatalf("on %q ReadCSV: %v, ReadCSVParallel: %v", s, werr, gerr)
+		}
+	})
+}
+
 // FuzzDeltaIntern drives one instance through adds and removes over two
 // relations and six constants, publishing a snapshot after every step.
 // Most steps stay inside the universe, so the snapshot is a delta child
 // of the previous one; an occasional add of a fresh constant changes the
 // universe and restarts the lineage. Every snapshot must equal a
-// from-scratch build of the same facts, and every block that differs
-// between a delta child and its parent must be in the child's Touched
-// set.
+// from-scratch build of the same facts, inserted in an order shuffled
+// by a seed drawn from the input, and every block that differs between
+// a delta child and its parent must be in the child's Touched set.
 //
 // Each step consumes two bytes: the first picks the relation (bit 0),
 // the key (bits 1–3, mod 6) and, from 0xf0 up, an out-of-universe add;
@@ -85,6 +127,9 @@ func FuzzDeltaIntern(f *testing.F) {
 			}
 		}
 		db.Interned()
+		h := fnv.New64a()
+		h.Write(data)
+		seed := int64(h.Sum64())
 		fresh := 0
 		for ; len(data) >= 2; data = data[2:] {
 			b0, b1 := data[0], data[1]
@@ -100,7 +145,8 @@ func FuzzDeltaIntern(f *testing.F) {
 				db.Add(fc)
 			}
 			iv := db.Interned()
-			sameInterned(t, iv, reintern(db))
+			seed++
+			sameInterned(t, iv, reintern(db, seed))
 			if d := iv.Delta(); d != nil {
 				checkTouched(t, d.Parent, iv, d.Touched)
 			}

@@ -5,9 +5,11 @@
 //
 // # Snapshot lineage and the invalidation contract
 //
-// Every accessor view — and in particular the dense-id Interned view the
-// solver tiers evaluate on — is memoized in one atomic snapshot that a
-// mutation invalidates wholesale. The contract the tiers rely on:
+// An Instance publishes one thing: the dense-id Interned snapshot of its
+// current state, which the solver tiers evaluate on and the sorted
+// accessor views (Adom, Relations, Blocks, Facts) are read out of. It
+// is built on first read, held in one atomic pointer, and dropped by
+// every mutation. The contract the tiers rely on:
 //
 //   - Pointer identity of an *Interned names one immutable instance
 //     state. Two loads that return the same pointer saw the same facts;
@@ -37,13 +39,16 @@
 package instance
 
 import (
-	"cqa/internal/bitset"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"cqa/internal/bitset"
 	"cqa/internal/faultinject"
+	"cqa/internal/par"
 	"cqa/internal/words"
 )
 
@@ -75,8 +80,8 @@ func (b BlockID) String() string { return fmt.Sprintf("%s(%s,*)", b.Rel, b.Key) 
 // Instance is a finite set of facts. It maintains block and adjacency
 // indexes. The zero value is not ready for use; call New.
 //
-// An Instance is safe for concurrent READS (the accessors memoize their
-// sorted views in an atomic snapshot); mutating methods (Add, AddFact,
+// An Instance is safe for concurrent READS (the accessors read one
+// atomically published snapshot); mutating methods (Add, AddFact,
 // Remove) must not race with readers or each other.
 type Instance struct {
 	facts  map[Fact]struct{}
@@ -87,11 +92,9 @@ type Instance struct {
 	// per mutation.
 	adom map[string]int
 	rels map[string]int
-	// views caches the sorted slices handed out by Adom, Blocks, Facts
-	// and Relations; solvers call these on every evaluation, so
-	// re-sorting per call is hot-path waste. The snapshot is immutable
-	// once stored and invalidated wholesale on mutation.
-	views atomic.Pointer[viewCache]
+	// snap is the published snapshot of the current state, nil from a
+	// mutation until the next read builds one.
+	snap atomic.Pointer[Interned]
 
 	// Delta-interning state, maintained by the mutating methods (which
 	// by contract never race with readers or each other): prev is the
@@ -112,62 +115,23 @@ type Instance struct {
 	lastDelta atomic.Pointer[Interned]
 }
 
-// viewCache is an immutable snapshot of the sorted accessor views; nil
-// fields are computed on demand (copy-on-write, so concurrent readers
-// never see a partially built slice).
-type viewCache struct {
-	adom     []string
-	blocks   []BlockID
-	facts    []Fact
-	rels     []string
-	interned *Interned
-}
-
-// snapshot returns the current view snapshot, never nil.
-func (db *Instance) snapshot() viewCache {
-	if c := db.views.Load(); c != nil {
-		return *c
+// publish stores iv as the snapshot of db's current state unless a
+// concurrent first reader published one before it, and returns the
+// snapshot that won. Mutations never race readers, so the only race is
+// between readers building the same state: the first CAS wins and a
+// losing build is discarded, never handed out. Every caller therefore
+// sees ONE *Interned pointer per instance state, the identity the
+// solver tiers (and the engine's snapshot-affine batch shards) key
+// their per-snapshot memos on.
+func (db *Instance) publish(iv *Interned) *Interned {
+	if db.snap.CompareAndSwap(nil, iv) {
+		return iv
 	}
-	return viewCache{}
+	return db.snap.Load()
 }
 
-// publish merges an updated snapshot under a CAS loop and returns the
-// snapshot that won. Fields already published win over the caller's
-// freshly built ones, so concurrent readers racing to memoize the same
-// view all converge on ONE value — in particular one *Interned pointer
-// per instance state, the identity the solver tiers (and the engine's
-// snapshot-affine batch shards) key their per-snapshot memos on. A
-// losing builder's work is discarded, never handed out. Callers must
-// therefore return the winning snapshot's field, not their own build.
-func (db *Instance) publish(c viewCache) viewCache {
-	for {
-		old := db.views.Load()
-		merged := c
-		if old != nil {
-			if old.adom != nil {
-				merged.adom = old.adom
-			}
-			if old.blocks != nil {
-				merged.blocks = old.blocks
-			}
-			if old.facts != nil {
-				merged.facts = old.facts
-			}
-			if old.rels != nil {
-				merged.rels = old.rels
-			}
-			if old.interned != nil {
-				merged.interned = old.interned
-			}
-		}
-		if db.views.CompareAndSwap(old, &merged) {
-			return merged
-		}
-	}
-}
-
-// invalidate drops the memoized views after a mutation.
-func (db *Instance) invalidate() { db.views.Store(nil) }
+// invalidate drops the published snapshot after a mutation.
+func (db *Instance) invalidate() { db.snap.Store(nil) }
 
 // maxDirtyBlocks bounds the dirty set a delta build will patch; past it
 // a full rebuild is cheaper than merging per-block edits.
@@ -181,10 +145,10 @@ const maxDirtyBlocks = 64
 // readers or each other (the Instance contract), so this state needs no
 // synchronization.
 func (db *Instance) noteMutation(bid BlockID, universe bool) {
-	if c := db.views.Load(); c != nil && c.interned != nil && c.interned != db.prev {
+	if iv := db.snap.Load(); iv != nil && iv != db.prev {
 		// A snapshot was built since the last mutation: the dirty set
 		// restarts relative to it.
-		db.prev = c.interned
+		db.prev = iv
 		db.dirty = nil
 		db.dirtyFull = false
 	}
@@ -307,62 +271,29 @@ func (db *Instance) Contains(f Fact) bool {
 // Size returns the number of facts.
 func (db *Instance) Size() int { return len(db.facts) }
 
-// Facts returns all facts in deterministic (sorted) order. The
-// returned slice is memoized and must not be modified.
+// Facts returns all facts in sorted (relation, key, value) order, read
+// out of the interned snapshot. Each call builds a fresh slice.
 func (db *Instance) Facts() []Fact {
-	c := db.snapshot()
-	if c.facts != nil {
-		return c.facts
-	}
-	out := make([]Fact, 0, len(db.facts))
-	for f := range db.facts {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Rel != b.Rel {
-			return a.Rel < b.Rel
+	iv := db.Interned()
+	out := make([]Fact, 0, iv.nfacts)
+	for r, bs := range iv.blocks {
+		for _, b := range bs {
+			for _, v := range b.Vals {
+				out = append(out, Fact{iv.rels[r], iv.consts[b.Key], iv.consts[v]})
+			}
 		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Val < b.Val
-	})
-	c.facts = out
-	return db.publish(c).facts
+	}
+	return out
 }
 
-// Adom returns the active domain in sorted order. The returned slice is
-// memoized and must not be modified.
-func (db *Instance) Adom() []string {
-	c := db.snapshot()
-	if c.adom != nil {
-		return c.adom
-	}
-	out := make([]string, 0, len(db.adom))
-	for cst := range db.adom {
-		out = append(out, cst)
-	}
-	sort.Strings(out)
-	c.adom = out
-	return db.publish(c).adom
-}
+// Adom returns the active domain in sorted order: the interned
+// snapshot's constants. The slice is shared and must not be modified.
+func (db *Instance) Adom() []string { return db.Interned().consts }
 
-// Relations returns the relation names occurring in db, sorted. The
-// returned slice is memoized and must not be modified.
-func (db *Instance) Relations() []string {
-	c := db.snapshot()
-	if c.rels != nil {
-		return c.rels
-	}
-	out := make([]string, 0, len(db.rels))
-	for r := range db.rels {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	c.rels = out
-	return db.publish(c).rels
-}
+// Relations returns the relation names occurring in db, sorted: the
+// interned snapshot's relations. The slice is shared and must not be
+// modified.
+func (db *Instance) Relations() []string { return db.Interned().rels }
 
 // Block returns the non-key values of the block R(key, *), sorted.
 // The returned slice must not be modified.
@@ -375,25 +306,17 @@ func (db *Instance) HasBlock(rel, key string) bool {
 	return len(db.blocks[BlockID{rel, key}]) > 0
 }
 
-// Blocks returns all block ids in deterministic order. The returned
-// slice is memoized and must not be modified.
+// Blocks returns all block ids in sorted (relation, key) order, read
+// out of the interned snapshot. Each call builds a fresh slice.
 func (db *Instance) Blocks() []BlockID {
-	c := db.snapshot()
-	if c.blocks != nil {
-		return c.blocks
-	}
+	iv := db.Interned()
 	out := make([]BlockID, 0, len(db.blocks))
-	for id := range db.blocks {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
+	for r, bs := range iv.blocks {
+		for _, b := range bs {
+			out = append(out, BlockID{iv.rels[r], iv.consts[b.Key]})
 		}
-		return out[i].Key < out[j].Key
-	})
-	c.blocks = out
-	return db.publish(c).blocks
+	}
+	return out
 }
 
 // Interned is an immutable dense-integer view of an instance: the
@@ -404,9 +327,9 @@ func (db *Instance) Blocks() []BlockID {
 //
 // Solvers index slices by these ids instead of hashing strings, which
 // is what makes the Figure 5 fixpoint loop allocation- and hash-free
-// per evaluation. A fresh Interned snapshot is built after every
-// mutation of the instance (the memo lives in the same atomic view
-// snapshot as Adom/Blocks/Facts), so pointer identity of an *Interned
+// per evaluation. It is the one state an Instance publishes (Adom,
+// Relations, Blocks and Facts are read out of it), and a fresh one is
+// built after every mutation, so pointer identity of an *Interned
 // identifies one immutable instance state: compiled plans key their
 // instance-bound transition tables on it and get invalidation on
 // mutation for free.
@@ -499,61 +422,108 @@ type InternedBlock struct {
 	Vals []int32
 }
 
-// Interned returns the interned view of db, building and memoizing it
-// on first use. The returned value is immutable and shared; like the
-// other accessor views it must not be modified, and it is safe for any
-// number of concurrent readers.
+// Interned returns the interned view of db, building and publishing it
+// on the first read after a mutation. The returned value is immutable
+// and shared; like the other accessor views it must not be modified,
+// and it is safe for any number of concurrent readers.
 func (db *Instance) Interned() *Interned {
-	if c := db.snapshot(); c.interned != nil {
-		return c.interned
+	if iv := db.snap.Load(); iv != nil {
+		return iv
 	}
-	if iv := db.internedDelta(); iv != nil {
-		// Chaos failpoint: a freshly interned delta snapshot is about to
-		// be published. Interned has no error path, so an injected error
-		// escalates to a panic for the callers' recover boundaries.
-		if err := faultinject.Fire(faultinject.SnapshotPublish); err != nil {
-			panic(err)
-		}
-		c := db.snapshot()
-		c.interned = iv
-		return db.publish(c).interned
+	iv := db.internedDelta()
+	if iv == nil {
+		iv = db.internRoot(sortedNames(db.adom), db.blockIDs(), 1)
 	}
-	// Build from the memoized sorted views so interned id order is
-	// exactly their deterministic order.
-	adom, rels, blocks := db.Adom(), db.Relations(), db.Blocks()
+	// Chaos failpoint: a freshly interned snapshot is about to be
+	// published. Interned has no error path, so an injected error
+	// escalates to a panic for the callers' recover boundaries.
+	if err := faultinject.Fire(faultinject.SnapshotPublish); err != nil {
+		panic(err)
+	}
+	return db.publish(iv)
+}
+
+// internRoot builds a lineage-root snapshot of db from its block
+// index. consts must be the sorted active domain, bids every block id
+// of db in any order, and each block's values sorted (Add keeps them
+// so, and finalizeBulk sorts them first). The blocks are sorted by
+// (relation id, key id), which is their name order because ids ascend
+// with names, and their values are interned into one slab in that
+// order, so a scan of a relation's blocks reads its values in sequence.
+// Both interning passes shard across workers.
+func (db *Instance) internRoot(consts []string, bids []BlockID, workers int) *Interned {
+	rels := sortedNames(db.rels)
 	iv := &Interned{
-		consts:  adom,
-		constID: make(map[string]int32, len(adom)),
+		consts:  consts,
+		constID: make(map[string]int32, len(consts)),
 		rels:    rels,
 		relID:   make(map[string]int32, len(rels)),
 		blocks:  make([][]InternedBlock, len(rels)),
 		nfacts:  len(db.facts),
 	}
-	for i, s := range adom {
+	for i, s := range consts {
 		iv.constID[s] = int32(i)
 	}
 	for i, r := range rels {
 		iv.relID[r] = int32(i)
 	}
-	for _, id := range blocks {
-		rid := iv.relID[id.Rel]
-		vals := db.blocks[id]
-		ib := InternedBlock{Key: iv.constID[id.Key], Vals: make([]int32, len(vals))}
-		for i, v := range vals {
-			ib.Vals[i] = iv.constID[v]
+	type entry struct {
+		ref  uint64 // relation id << 32 | key id
+		vals []string
+	}
+	es := make([]entry, len(bids))
+	bb := par.Blocks(len(bids), workers, 1)
+	par.Run(len(bb)-1, func(w int) {
+		for i := bb[w]; i < bb[w+1]; i++ {
+			id := bids[i]
+			es[i] = entry{uint64(iv.relID[id.Rel])<<32 | uint64(iv.constID[id.Key]), db.blocks[id]}
 		}
-		iv.blocks[rid] = append(iv.blocks[rid], ib)
+	})
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.ref, b.ref) })
+	start := make([]int, len(bb)) // start[w]: the slab offset of worker w's first value
+	for w := 1; w < len(bb); w++ {
+		start[w] = start[w-1]
+		for _, e := range es[bb[w-1]:bb[w]] {
+			start[w] += len(e.vals)
+		}
 	}
-	// Chaos failpoint: a freshly interned root snapshot is about to be
-	// published (same escalation contract as the delta branch above).
-	if err := faultinject.Fire(faultinject.SnapshotPublish); err != nil {
-		panic(err)
+	all, slab := make([]InternedBlock, len(es)), make([]int32, len(db.facts))
+	par.Run(len(bb)-1, func(w int) {
+		o := start[w]
+		for i, e := range es[bb[w]:bb[w+1]] {
+			vals := slab[o : o+len(e.vals) : o+len(e.vals)]
+			for j, v := range e.vals {
+				vals[j] = iv.constID[v]
+			}
+			all[bb[w]+i] = InternedBlock{Key: int32(e.ref), Vals: vals}
+			o += len(e.vals)
+		}
+	})
+	for i, j := 0, 0; i < len(es); i = j {
+		for j = i; j < len(es) && es[j].ref>>32 == es[i].ref>>32; j++ {
+		}
+		iv.blocks[es[i].ref>>32] = all[i:j:j]
 	}
-	c := db.snapshot()
-	c.interned = iv
-	// Adopt a concurrently published snapshot if one beat this build:
-	// every caller must see the same pointer for the same state.
-	return db.publish(c).interned
+	return iv
+}
+
+// sortedNames returns the names counted by an occurrence map, sorted.
+func sortedNames(counts map[string]int) []string {
+	out := make([]string, 0, len(counts))
+	for s := range counts {
+		out = append(out, s)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// blockIDs returns the ids of db's blocks in map order.
+func (db *Instance) blockIDs() []BlockID {
+	out := make([]BlockID, 0, len(db.blocks))
+	for id := range db.blocks {
+		out = append(out, id)
+	}
+	return out
 }
 
 // internedDelta builds the next snapshot as a copy-on-write delta of

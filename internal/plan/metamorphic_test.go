@@ -26,7 +26,7 @@ func plantPath(rng *rand.Rand, db *instance.Instance, w words.Word) {
 	}
 }
 
-// TestMetamorphicDecisions checks three relations that the semantics of
+// TestMetamorphicDecisions checks four relations that the semantics of
 // CERTAINTY(q) imply, for every memoWords word by default dispatch and
 // by every sound forced tier. Each random instance has at most 12 facts,
 // half of them start from a path with trace q, and each is decided by
@@ -39,6 +39,8 @@ func plantPath(rng *rand.Rand, db *instance.Instance, w words.Word) {
 //     so the plan's memo repairs along the lineage, and on a fresh plan.
 //   - Renaming the constants by a permutation that reorders them, so
 //     that the interned ids permute, keeps the decision.
+//   - Inserting the same facts in a shuffled order keeps the decision:
+//     the interned snapshot does not depend on insertion order.
 //   - Adding a fact in a new (relation, key) block keeps a yes-instance
 //     a yes-instance: path queries are monotone, and every repair of
 //     the new instance extends a repair of the old one.
@@ -105,6 +107,14 @@ func TestMetamorphicDecisions(t *testing.T) {
 			}
 			decides("after renaming constants", p, renamed, want)
 			decides("after renaming constants, fresh plan", Compile(q), renamed, want)
+
+			// Insert the same facts in a shuffled order. A source of its
+			// own keeps the instances the other relations draw unchanged.
+			facts := append([]instance.Fact(nil), db.Facts()...)
+			rand.New(rand.NewSource(int64(it))).Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
+			shuffled := instance.FromFacts(facts...)
+			decides("after inserting in a shuffled order", p, shuffled, want)
+			decides("after inserting in a shuffled order, fresh plan", Compile(q), shuffled, want)
 
 			if !want {
 				continue

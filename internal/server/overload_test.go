@@ -204,6 +204,42 @@ func TestServeBatchLineDeadline(t *testing.T) {
 	}
 }
 
+// hugeBudgetMs is a client budget of about 2.4 million years: too many
+// nanoseconds for a time.Duration, so a plain conversion wraps it
+// around to 64ns.
+const hugeBudgetMs = "76480200929599801"
+
+// TestServeHugeDeadlineREST: a CQA-Timeout-Ms budget past the range of
+// time.Duration saturates; the query is decided, not expired.
+func TestServeHugeDeadlineREST(t *testing.T) {
+	_, ts := newTestServer(t)
+	if code, body := mustPost(t, ts.URL+"/instances/h", serveFacts()); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	resp := getWithTimeout(t, ts.URL+"/instances/h/query?q=RX", hugeBudgetMs)
+	defer resp.Body.Close()
+	var r queryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || r.Certain == nil {
+		t.Fatalf("query with a %sms budget: %d %+v", hugeBudgetMs, resp.StatusCode, r)
+	}
+}
+
+// TestServeHugeDeadlineBatch: the same budget as a batch line's
+// timeout_ms saturates too.
+func TestServeHugeDeadlineBatch(t *testing.T) {
+	_, ts := newTestServer(t)
+	if code, body := mustPost(t, ts.URL+"/instances/h", serveFacts()); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	out := runBatch(t, ts.URL, "h", []string{`{"query":"RX","timeout_ms":` + hugeBudgetMs + `}`})
+	if len(out) != 1 || out[0].Error != "" || out[0].Certain == nil {
+		t.Fatalf("batch line with a %sms budget: %+v", hugeBudgetMs, out)
+	}
+}
+
 // TestServeOverloadRejects: a full fast-lane queue answers a REST query
 // 429 with Retry-After immediately, and a batch chunk with per-line
 // overloaded errors — never a blocked connection.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -268,7 +269,18 @@ func (s *Server) reqTimeout(r *http.Request) (time.Duration, error) {
 	if err != nil || ms < 0 {
 		return 0, fmt.Errorf("server: invalid %s header %q", TimeoutHeader, h)
 	}
-	return time.Duration(ms) * time.Millisecond, nil
+	return msDuration(ms), nil
+}
+
+// msDuration converts a client's budget in milliseconds to a Duration,
+// saturating at the largest Duration instead of wrapping around (a
+// budget of millions of years must not become one of nanoseconds). A
+// negative budget reads as 0, which sets no deadline.
+func msDuration(ms int64) time.Duration {
+	if ms > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(max(ms, 0)) * time.Millisecond
 }
 
 // reqContext derives the request's evaluation context from its
@@ -693,7 +705,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			qs = bl.Query
 			if bl.TimeoutMs != nil {
-				d = time.Duration(*bl.TimeoutMs) * time.Millisecond
+				d = msDuration(*bl.TimeoutMs)
 			}
 		}
 		resp := queryResponse{Index: index, Query: qs}
