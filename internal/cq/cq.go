@@ -112,13 +112,13 @@ func Satisfied(db *instance.Instance, q Query) bool {
 func FindValuation(db *instance.Instance, q Query) map[string]string {
 	env := make(map[string]string)
 	remaining := append([]Atom(nil), q.Atoms...)
-	if match(db, remaining, env) {
+	if match(db, db.Facts(), remaining, env) {
 		return env
 	}
 	return nil
 }
 
-func match(db *instance.Instance, atoms []Atom, env map[string]string) bool {
+func match(db *instance.Instance, facts []instance.Fact, atoms []Atom, env map[string]string) bool {
 	if len(atoms) == 0 {
 		return true
 	}
@@ -154,7 +154,7 @@ func match(db *instance.Instance, atoms []Atom, env map[string]string) bool {
 			}
 			return false
 		}
-		if match(db, rest, env) {
+		if match(db, facts, rest, env) {
 			return true
 		}
 		if !a.S.Const && !sOld {
@@ -175,7 +175,7 @@ func match(db *instance.Instance, atoms []Atom, env map[string]string) bool {
 		return false
 	}
 	// Key unbound: scan all facts of the relation.
-	for _, f := range db.Facts() {
+	for _, f := range facts {
 		if f.Rel != a.Rel {
 			continue
 		}

@@ -97,14 +97,11 @@ func ReadCSVParallel(r io.Reader, workers int) (*Instance, error) {
 				}
 				return
 			}
-			cut := bytes.LastIndexByte(buf, '\n') + 1
-			if bytes.IndexByte(buf, '"') >= 0 {
-				// A quoted field may hold newlines: cut after the last
-				// complete record instead.
-				cut = 0
-				for n := recordEnd(buf); n > 0; n = recordEnd(buf[cut:]) {
-					cut += n
-				}
+			// Cut after the last complete record: a quoted field may hold
+			// newlines, so not every newline ends a record.
+			cut := 0
+			for n := recordEnd(buf); n > 0; n = recordEnd(buf[cut:]) {
+				cut += n
 			}
 			if cut == 0 {
 				// A single record longer than the chunk: keep growing.

@@ -448,9 +448,8 @@ func (db *Instance) Interned() *Interned {
 // of db in any order, and each block's values sorted (Add keeps them
 // so, and finalizeBulk sorts them first). The blocks are sorted by
 // (relation id, key id), which is their name order because ids ascend
-// with names, and their values are interned into one slab in that
-// order, so a scan of a relation's blocks reads its values in sequence.
-// Both interning passes shard across workers.
+// with names, and then their values are interned. Both interning passes
+// shard across workers.
 func (db *Instance) internRoot(consts []string, bids []BlockID, workers int) *Interned {
 	rels := sortedNames(db.rels)
 	iv := &Interned{
@@ -480,23 +479,14 @@ func (db *Instance) internRoot(consts []string, bids []BlockID, workers int) *In
 		}
 	})
 	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.ref, b.ref) })
-	start := make([]int, len(bb)) // start[w]: the slab offset of worker w's first value
-	for w := 1; w < len(bb); w++ {
-		start[w] = start[w-1]
-		for _, e := range es[bb[w-1]:bb[w]] {
-			start[w] += len(e.vals)
-		}
-	}
-	all, slab := make([]InternedBlock, len(es)), make([]int32, len(db.facts))
+	all := make([]InternedBlock, len(es))
 	par.Run(len(bb)-1, func(w int) {
-		o := start[w]
-		for i, e := range es[bb[w]:bb[w+1]] {
-			vals := slab[o : o+len(e.vals) : o+len(e.vals)]
-			for j, v := range e.vals {
+		for i := bb[w]; i < bb[w+1]; i++ {
+			vals := make([]int32, len(es[i].vals))
+			for j, v := range es[i].vals {
 				vals[j] = iv.constID[v]
 			}
-			all[bb[w]+i] = InternedBlock{Key: int32(e.ref), Vals: vals}
-			o += len(e.vals)
+			all[i] = InternedBlock{Key: int32(es[i].ref), Vals: vals}
 		}
 	})
 	for i, j := 0, 0; i < len(es); i = j {

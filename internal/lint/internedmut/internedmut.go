@@ -2,13 +2,14 @@
 // interned instance snapshot outside the instance package.
 //
 // The contract (internal/instance doc comment): pointer identity of a
-// *instance.Interned names one immutable instance state, and every
-// accessor view an Instance or Interned hands out — Adom, Facts,
-// Blocks, Relations, Consts, RelBlocks, Block, Out — is a shared,
-// memoized slice that must not be modified. Every solver tier and every
-// per-snapshot memo keys on that immutability; a single in-place sort
-// or element write corrupts a warm artifact for every concurrent
-// reader of the same snapshot.
+// *instance.Interned names one immutable instance state, and the
+// accessor views Adom, Relations, Consts, RelBlocks, Block and Out
+// alias shared memory that must not be modified. Facts and Blocks
+// return fresh slices and stay on the list only as a safe
+// over-approximation. Every solver tier and every per-snapshot memo
+// keys on that immutability; a single in-place sort or element write
+// corrupts a warm artifact for every concurrent reader of the same
+// snapshot.
 //
 // The analyzer runs a per-function forward taint pass: values produced
 // by the shared-view accessors (or derived from them by indexing,
